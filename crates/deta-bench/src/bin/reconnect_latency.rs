@@ -25,100 +25,50 @@
 //! ```
 
 use deta_bench::{bench_output_dir, Args};
-use deta_core::{DetaConfig, RoundMetrics};
+use deta_core::{fingerprint, DetaConfig, Fingerprint, ModelBuilder, RoundMetrics};
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_nn::train::LabeledData;
-use deta_runtime::{RuntimeConfig, RuntimeError, ThreadedSession};
-use deta_socket::hub::seats_for;
-use deta_socket::{set_retransmit_buffering, SocketHub};
+use deta_runtime::RuntimeConfig;
+use deta_socket::bridge::{self, Deployment, Host};
+use deta_socket::set_retransmit_buffering;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-/// The deterministic slice of the metrics (latency excluded).
-fn fingerprint(metrics: &[RoundMetrics]) -> Vec<(f32, f32, f32, u64, u64)> {
-    metrics
-        .iter()
-        .map(|m| {
-            (
-                m.train_loss,
-                m.test_loss,
-                m.test_accuracy,
-                m.upload_bytes,
-                m.download_bytes,
-            )
-        })
-        .collect()
-}
-
 /// Runs the session with every node detached behind the TCP bridge
-/// (children hosted on threads of this process), under the given chaos
+/// (nodes hosted on threads of this process), under the given chaos
 /// plan. Returns the metrics and the measured wall time.
 fn run_socket(
     cfg: DetaConfig,
+    builder: &ModelBuilder,
     shards: &[LabeledData],
     test: &LabeledData,
-    dim: usize,
-    classes: usize,
     chaos: HashMap<String, Vec<u64>>,
 ) -> (Vec<RoundMetrics>, f64) {
-    let seed = cfg.seed;
     let t0 = Instant::now();
-    let mut hub_slot: Option<SocketHub> = None;
-    let mut children = Vec::new();
-    let child_cfg = cfg.clone();
-    let child_shards = shards.to_vec();
     // Retries past the deadline horizon, like the cluster deployment:
     // the bridge is lossless, and a load-timed duplicate fan-out would
     // break byte parity between the chaos and fault-free arms.
-    let rt = RuntimeConfig {
+    let runtime = RuntimeConfig {
         retry_initial: Duration::from_secs(3600),
         retry_max: Duration::from_secs(3600),
         ..RuntimeConfig::default()
     };
-    let mut session = ThreadedSession::setup_detached(
-        cfg,
-        &move |rng| mlp(&[dim, 16, classes], rng),
-        shards.to_vec(),
-        rt,
-        |nodes, network| {
-            let seats = seats_for(&nodes, seed);
-            let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-            drop(nodes);
-            let hub = SocketHub::bind_chaos(network.clone(), seats, seed, chaos)
-                .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;
-            let addr = hub.addr();
-            for name in names {
-                let cfg = child_cfg.clone();
-                let shards = child_shards.clone();
-                children.push(std::thread::spawn(move || {
-                    let builder =
-                        move |rng: &mut deta_crypto::DetRng| mlp(&[dim, 16, classes], rng);
-                    deta_socket::run_node(
-                        addr,
-                        &name,
-                        cfg,
-                        &builder,
-                        shards,
-                        Duration::from_millis(10),
-                    )
-                }));
-            }
-            hub_slot = Some(hub);
-            Ok(())
+    let metrics = bridge::run(Deployment {
+        config: cfg,
+        builder,
+        shards,
+        test,
+        runtime,
+        chaos,
+        instrument: &|_| {},
+        host: Host::Threads {
+            tick: Duration::from_millis(10),
         },
-    )
-    .expect("socket setup");
-    let metrics = session.run(test).expect("socket run");
-    for child in children {
-        child
-            .join()
-            .expect("child thread")
-            .expect("child exited cleanly");
-    }
-    let err = hub_slot.expect("hub bound").join();
-    assert!(err.is_none(), "hub error: {err:?}");
+    })
+    .and_then(|bridged| bridged.result)
+    .expect("socket run");
     (metrics, t0.elapsed().as_secs_f64())
 }
 
@@ -144,22 +94,23 @@ fn main() {
     let test = spec.generate(200, 2);
     let shards = iid_partition(&train, parties, 3);
     let (dim, classes) = (spec.dim(), spec.classes);
+    let builder = move |rng: &mut deta_crypto::DetRng| mlp(&[dim, 16, classes], rng);
 
     // Phase 1: fault-free overhead of retransmit buffering, alternating
     // arms so load drift hits both equally. Best-of-N per arm: the
     // minimum is the stable estimator for a fixed workload.
     let mut wall_on = f64::INFINITY;
     let mut wall_off = f64::INFINITY;
-    let mut baseline: Option<Vec<(f32, f32, f32, u64, u64)>> = None;
+    let mut baseline: Option<Fingerprint> = None;
     // Unmeasured warmup (populates allocator arenas, warms the page
     // cache) so the first measured arm is not penalized.
     let cfg = config(seed, aggregators, parties, rounds);
-    let _ = run_socket(cfg, &shards, &test, dim, classes, HashMap::new());
+    let _ = run_socket(cfg, &builder, &shards, &test, HashMap::new());
     for _ in 0..reps {
         for on in [false, true] {
             set_retransmit_buffering(on);
             let cfg = config(seed, aggregators, parties, rounds);
-            let (metrics, wall) = run_socket(cfg, &shards, &test, dim, classes, HashMap::new());
+            let (metrics, wall) = run_socket(cfg, &builder, &shards, &test, HashMap::new());
             let fp = fingerprint(&metrics);
             match &baseline {
                 None => baseline = Some(fp),
@@ -183,7 +134,7 @@ fn main() {
     let mut wall_chaos = f64::INFINITY;
     for _ in 0..reps {
         let cfg = config(seed, aggregators, parties, rounds);
-        let (metrics, wall) = run_socket(cfg, &shards, &test, dim, classes, chaos.clone());
+        let (metrics, wall) = run_socket(cfg, &builder, &shards, &test, chaos.clone());
         assert_eq!(
             baseline.as_ref().expect("fault-free baseline"),
             &fingerprint(&metrics),

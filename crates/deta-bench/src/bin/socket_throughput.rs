@@ -17,13 +17,13 @@
 //! ```
 
 use deta_bench::{bench_output_dir, Args};
-use deta_core::{DetaConfig, RoundMetrics};
+use deta_core::{fingerprint, DetaConfig, ModelBuilder, RoundMetrics};
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::mlp;
 use deta_nn::train::LabeledData;
-use deta_runtime::{RuntimeConfig, RuntimeError, ThreadedSession};
-use deta_socket::hub::seats_for;
-use deta_socket::SocketHub;
+use deta_runtime::{RuntimeConfig, ThreadedSession};
+use deta_socket::bridge::{self, Deployment, Host};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -43,79 +43,28 @@ fn config(seed: u64, aggregators: usize, parties: usize, rounds: usize) -> DetaC
     cfg
 }
 
-/// The deterministic slice of the metrics (latency excluded).
-fn fingerprint(metrics: &[RoundMetrics]) -> Vec<(f32, f32, f32, u64, u64)> {
-    metrics
-        .iter()
-        .map(|m| {
-            (
-                m.train_loss,
-                m.test_loss,
-                m.test_accuracy,
-                m.upload_bytes,
-                m.download_bytes,
-            )
-        })
-        .collect()
-}
-
 /// Runs the session with every node detached behind the TCP bridge,
-/// children hosted on threads of this process.
+/// nodes hosted on threads of this process.
 fn run_socket(
     cfg: DetaConfig,
+    builder: &ModelBuilder,
     shards: &[LabeledData],
     test: &LabeledData,
-    dim: usize,
-    classes: usize,
 ) -> Vec<RoundMetrics> {
-    let seed = cfg.seed;
-    let mut hub_slot: Option<SocketHub> = None;
-    let mut children = Vec::new();
-    let child_cfg = cfg.clone();
-    let child_shards = shards.to_vec();
-    let mut session = ThreadedSession::setup_detached(
-        cfg,
-        &move |rng| mlp(&[dim, 16, classes], rng),
-        shards.to_vec(),
-        RuntimeConfig::default(),
-        |nodes, network| {
-            let seats = seats_for(&nodes, seed);
-            let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-            drop(nodes);
-            let hub = SocketHub::bind(network.clone(), seats, seed)
-                .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;
-            let addr = hub.addr();
-            for name in names {
-                let cfg = child_cfg.clone();
-                let shards = child_shards.clone();
-                children.push(std::thread::spawn(move || {
-                    let builder =
-                        move |rng: &mut deta_crypto::DetRng| mlp(&[dim, 16, classes], rng);
-                    deta_socket::run_node(
-                        addr,
-                        &name,
-                        cfg,
-                        &builder,
-                        shards,
-                        Duration::from_millis(10),
-                    )
-                }));
-            }
-            hub_slot = Some(hub);
-            Ok(())
+    bridge::run(Deployment {
+        config: cfg,
+        builder,
+        shards,
+        test,
+        runtime: RuntimeConfig::default(),
+        chaos: HashMap::new(),
+        instrument: &|_| {},
+        host: Host::Threads {
+            tick: Duration::from_millis(10),
         },
-    )
-    .expect("socket setup");
-    let metrics = session.run(test).expect("socket run");
-    for child in children {
-        child
-            .join()
-            .expect("child thread")
-            .expect("child exited cleanly");
-    }
-    let err = hub_slot.expect("hub bound").join();
-    assert!(err.is_none(), "hub error: {err:?}");
-    metrics
+    })
+    .and_then(|bridged| bridged.result)
+    .expect("socket run")
 }
 
 fn main() {
@@ -130,19 +79,16 @@ fn main() {
     let test = spec.generate(200, 2);
     let shards = iid_partition(&train, parties, 3);
     let (dim, classes) = (spec.dim(), spec.classes);
+    let builder = move |rng: &mut deta_crypto::DetRng| mlp(&[dim, 16, classes], rng);
 
     let mut samples: Vec<Sample> = Vec::new();
     for aggregators in [1usize, 2, 4] {
         // In-process threaded deployment.
         let cfg = config(seed, aggregators, parties, rounds);
         let t0 = Instant::now();
-        let mut session = ThreadedSession::setup(
-            cfg,
-            &move |rng| mlp(&[dim, 16, classes], rng),
-            shards.clone(),
-            RuntimeConfig::default(),
-        )
-        .expect("in-process setup");
+        let mut session =
+            ThreadedSession::setup(cfg, &builder, shards.clone(), RuntimeConfig::default())
+                .expect("in-process setup");
         let local = session.run(&test).expect("in-process run");
         let wall_s = t0.elapsed().as_secs_f64();
         samples.push(Sample {
@@ -157,7 +103,7 @@ fn main() {
         // Same session over TCP loopback.
         let cfg = config(seed, aggregators, parties, rounds);
         let t0 = Instant::now();
-        let remote = run_socket(cfg, &shards, &test, dim, classes);
+        let remote = run_socket(cfg, &builder, &shards, &test);
         let wall_s = t0.elapsed().as_secs_f64();
         assert_eq!(
             fingerprint(&local),

@@ -20,12 +20,10 @@
 use deta_core::dp::LdpConfig;
 use deta_core::paillier_fusion::PaillierFusionConfig;
 use deta_core::transform::TransformConfig;
-use deta_core::{AggKind, DetaConfig, SyncMode};
-use deta_crypto::DetRng;
+use deta_core::{AggKind, DetaConfig, ModelBuilder, SyncMode};
 use deta_datasets::{iid_partition, noniid_skew_partition, DatasetSpec};
 use deta_nn::models;
 use deta_nn::train::LabeledData;
-use deta_nn::Sequential;
 use deta_transport::LinkModel;
 use std::collections::HashMap;
 
@@ -149,10 +147,7 @@ impl Config {
     }
 
     /// Builds the model constructor (`model`).
-    pub fn model_builder(
-        &self,
-        spec: &DatasetSpec,
-    ) -> Result<Box<dyn Fn(&mut DetRng) -> Sequential>, ConfigError> {
+    pub fn model_builder(&self, spec: &DatasetSpec) -> Result<Box<ModelBuilder>, ConfigError> {
         let hw = spec.height;
         let c = spec.channels;
         let classes = spec.classes;
@@ -292,7 +287,7 @@ impl Config {
         self.parse_bool("party_drop", false)
     }
 
-    /// Link-chaos schedule for `cluster` runs (`chaos_severs`): a
+    /// Link-chaos schedule for `cluster` and `trace` runs (`chaos_severs`): a
     /// comma-separated list of `node@count` entries — the hub abruptly
     /// severs `node`'s TCP connection (no `Bye`, both directions) the
     /// moment it has received `count` total frames from it, once per
@@ -364,7 +359,7 @@ pub struct Prepared {
     /// The session configuration.
     pub session: DetaConfig,
     /// The model constructor.
-    pub builder: Box<dyn Fn(&mut DetRng) -> Sequential>,
+    pub builder: Box<ModelBuilder>,
     /// One training shard per party.
     pub shards: Vec<LabeledData>,
     /// The shared test set.
@@ -507,7 +502,7 @@ mod tests {
         let cfg = Config::parse("model = resnet_lite\nresolution = 8").unwrap();
         let spec = cfg.dataset().unwrap();
         let builder = cfg.model_builder(&spec).unwrap();
-        let model = builder(&mut DetRng::from_u64(1));
+        let model = builder(&mut deta_crypto::DetRng::from_u64(1));
         assert!(model.param_count() > 0);
     }
 }

@@ -19,11 +19,11 @@ use deta_core::session::RoundMetrics;
 use deta_core::DetaSession;
 use deta_crypto::DetRng;
 use deta_datasets::{iid_partition, noniid_skew_partition, DatasetSpec};
-use deta_runtime::{FailoverPolicy, RuntimeConfig, RuntimeError, ThreadedSession};
-use deta_socket::hub::seats_for;
-use deta_socket::SocketHub;
-use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use deta_runtime::{FailoverPolicy, RuntimeConfig, ThreadedSession};
+use deta_socket::bridge::{self, Deployment, Host};
+use std::net::SocketAddr;
+use std::process::{Command, ExitCode};
+use std::time::Duration;
 
 const HELP: &str = "deta-cli — DeTA federated learning driver
 
@@ -60,8 +60,8 @@ CONFIG KEYS (key = value; # comments):
     round_deadline_s  cluster round deadline in seconds    (default 60)
     party_drop   true lets cluster runs drop a party whose link died
                  (partial participation) instead of failing the run
-    chaos_severs cluster link chaos: `node@count,...` — sever the node's
-                 TCP connection after `count` total frames (no Bye)
+    chaos_severs cluster/trace link chaos: `node@count,...` — sever the
+                 node's TCP connection after `count` total frames (no Bye)
 ";
 
 fn main() -> ExitCode {
@@ -264,69 +264,41 @@ fn cmd_cluster(path: &str, inprocess: bool) -> Result<(), Box<dyn std::error::Er
         print_dropped(&session);
         return Ok(());
     }
-    let chaos = config.chaos_severs()?;
-    let exe = std::env::current_exe()?;
-    let seed = prepared.session.seed;
-    let mut hub_slot: Option<SocketHub> = None;
-    let mut children: Vec<std::process::Child> = Vec::new();
-    let mut session = ThreadedSession::setup_detached(
-        prepared.session,
-        prepared.builder.as_ref(),
-        prepared.shards,
-        rt,
-        |nodes, network| {
-            let seats = seats_for(&nodes, seed);
-            let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-            drop(nodes);
-            let hub = SocketHub::bind_chaos(network.clone(), seats, seed, chaos)
-                .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;
-            let addr = hub.addr().to_string();
-            for name in &names {
-                let child = std::process::Command::new(&exe)
-                    .args(["node", path, "--name", name, "--addr", &addr])
-                    .spawn()
-                    .map_err(RuntimeError::Spawn)?;
-                children.push(child);
-            }
-            hub_slot = Some(hub);
-            Ok(())
-        },
-    )?;
-    let outcome = session.run(&prepared.test);
-    reap_children(&mut children);
-    // Join the hub either way, but let the session outcome win: a dead
-    // node process must surface as the supervisor's structured
-    // RuntimeError (a timeout naming the node), never as the hub's
-    // secondary disconnect fallout.
-    let hub_err = hub_slot.and_then(SocketHub::join);
-    let metrics = outcome?;
-    if let Some(e) = hub_err {
-        return Err(Box::new(e));
-    }
-    print_rounds(&metrics);
-    print_dropped(&session);
+    let out = run_cluster(path, &config, &prepared, rt, false)?;
+    print_rounds(&out.result?);
+    print_dropped(&out.session);
     Ok(())
 }
 
-/// Reaps child node processes with a bound so a wedged node cannot hang
-/// the coordinator; the session is already over when this runs.
-fn reap_children(children: &mut [std::process::Child]) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    for child in children {
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                _ => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    break;
-                }
-            }
+/// Runs `prepared` as a bridged deployment with one `deta-cli node`
+/// child process per seat, under the config's `chaos_severs` plan.
+/// `trace` makes every child record spans and ship its ring back.
+fn run_cluster(
+    path: &str,
+    config: &Config,
+    prepared: &deta_cli::Prepared,
+    rt: RuntimeConfig,
+    trace: bool,
+) -> Result<bridge::Bridged, Box<dyn std::error::Error>> {
+    let exe = std::env::current_exe()?;
+    let spawn = |name: &str, addr: SocketAddr| {
+        let mut node = Command::new(&exe);
+        node.args(["node", path, "--name", name, "--addr", &addr.to_string()]);
+        if trace {
+            node.arg("--trace");
         }
-    }
+        node.spawn()
+    };
+    Ok(bridge::run(Deployment {
+        config: prepared.session.clone(),
+        builder: prepared.builder.as_ref(),
+        shards: &prepared.shards,
+        test: &prepared.test,
+        runtime: rt,
+        chaos: config.chaos_severs()?,
+        instrument: &|_| {},
+        host: Host::Processes(&spawn),
+    })?)
 }
 
 /// A `cluster` run with distributed tracing enabled end to end: every
@@ -349,39 +321,11 @@ fn cmd_trace(path: &str, perfetto: Option<String>) -> Result<(), Box<dyn std::er
     // window.
     rt.telemetry.ring_capacity = 1 << 16;
     let trace_dir = rt.telemetry.trace_dir.clone();
-    let exe = std::env::current_exe()?;
-    let seed = prepared.session.seed;
-    let mut hub_slot: Option<SocketHub> = None;
-    let mut children: Vec<std::process::Child> = Vec::new();
-    let mut session = ThreadedSession::setup_detached(
-        prepared.session,
-        prepared.builder.as_ref(),
-        prepared.shards,
-        rt,
-        |nodes, network| {
-            let seats = seats_for(&nodes, seed);
-            let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-            drop(nodes);
-            let hub = SocketHub::bind(network.clone(), seats, seed)
-                .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;
-            let addr = hub.addr().to_string();
-            for name in &names {
-                let child = std::process::Command::new(&exe)
-                    .args(["node", path, "--name", name, "--addr", &addr, "--trace"])
-                    .spawn()
-                    .map_err(RuntimeError::Spawn)?;
-                children.push(child);
-            }
-            hub_slot = Some(hub);
-            Ok(())
-        },
-    )?;
-    let outcome = session.run(&prepared.test);
-    reap_children(&mut children);
-    let (hub_err, harvest) = match hub_slot {
-        Some(hub) => hub.join_harvest(),
-        None => (None, deta_socket::TraceHarvest::default()),
-    };
+    let bridge::Bridged {
+        mut session,
+        harvest,
+        result,
+    } = run_cluster(path, &config, &prepared, rt, true)?;
 
     // Coordinator rings: on a fault the supervisor already dumped them
     // (with the implicated nodes in the meta line); otherwise force a
@@ -449,14 +393,7 @@ fn cmd_trace(path: &str, perfetto: Option<String>) -> Result<(), Box<dyn std::er
     println!("\n== per-round critical path (multi-process) ==");
     print_round_reports(&deta_obs::round_reports(&merged));
 
-    let metrics = match outcome {
-        Ok(metrics) => metrics,
-        Err(e) => return Err(Box::new(e)),
-    };
-    if let Some(e) = hub_err {
-        return Err(Box::new(e));
-    }
-    print_rounds(&metrics);
+    print_rounds(&result?);
 
     // Side-by-side phase volumes: the same config run sequentially and
     // threaded, both in this process — the measurement behind ROADMAP

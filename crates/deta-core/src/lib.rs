@@ -52,7 +52,10 @@ pub mod wire;
 
 pub use agg::{AggKind, Aggregation};
 pub use mapper::ModelMapper;
-pub use session::{DetaConfig, DetaSession, RoundMetrics, SessionParts, SyncMode};
+pub use session::{
+    fingerprint, DetaConfig, DetaSession, Fingerprint, ModelBuilder, RoundMetrics, SessionParts,
+    SyncMode,
+};
 pub use transform::{TransformConfig, Transformer};
 
 /// A flat model update (parameters or gradients) as exchanged in FL.

@@ -138,6 +138,56 @@ pub struct RoundMetrics {
     pub download_bytes: u64,
 }
 
+/// The bit-exact slice of a session's metrics, one tuple per round:
+/// the raw bits of train loss, test loss and test accuracy, then upload
+/// and download bytes. Latency fields are wall-clock or modelled and are
+/// left out. Comparing bits (not `f32` values) makes `-0.0` differ from
+/// `0.0` and a `NaN` equal to itself, so equality means bit-identical.
+pub type Fingerprint = Vec<(u32, u32, u32, u64, u64)>;
+
+/// The [`Fingerprint`] of a run: two deployments of the same seeded
+/// session agree on it exactly when their results are bit-identical.
+pub fn fingerprint(metrics: &[RoundMetrics]) -> Fingerprint {
+    metrics
+        .iter()
+        .map(|m| {
+            (
+                m.train_loss.to_bits(),
+                m.test_loss.to_bits(),
+                m.test_accuracy.to_bits(),
+                m.upload_bytes,
+                m.download_bytes,
+            )
+        })
+        .collect()
+}
+
+/// A deterministic model constructor: every replica of a session calls
+/// it with the same RNG fork and must get the same initial model.
+/// `Send + Sync` so thread-hosted nodes can share one builder.
+pub type ModelBuilder = dyn Fn(&mut DetRng) -> Sequential + Send + Sync;
+
+/// The parties that train in `round` under partial participation: a
+/// quorum of `cfg.participation` drawn from `pool` by a seeded shuffle
+/// (the whole pool when no quorum is set or the pool is no larger).
+/// Both drivers call this, which keeps their selections identical.
+///
+/// The pool is the caller's choice. The sequential [`DetaSession`]
+/// passes its online parties: `drop_party` is an explicit call at a
+/// round boundary, so the pool is deterministic. The threaded runtime
+/// passes every party index, dropped or not: a drop there follows a
+/// lost link, whose timing must not move which parties train.
+pub fn select_participants(cfg: &DetaConfig, round: u64, mut pool: Vec<usize>) -> HashSet<usize> {
+    match cfg.participation {
+        Some(q) if q < pool.len() => {
+            let mut rng = DetRng::from_u64(cfg.seed).fork_indexed(b"participation", round);
+            rng.shuffle(&mut pool);
+            pool.into_iter().take(q).collect()
+        }
+        _ => pool.into_iter().collect(),
+    }
+}
+
 /// Errors during session setup.
 #[derive(Debug)]
 pub enum SetupError {
@@ -525,16 +575,7 @@ impl DetaSession {
         let online: Vec<usize> = (0..self.parties.len())
             .filter(|i| !offline.contains(i))
             .collect();
-        let participants: std::collections::HashSet<usize> = match self.config.participation {
-            Some(q) if q < online.len() => {
-                let mut pool = online.clone();
-                let mut rng =
-                    DetRng::from_u64(self.config.seed).fork_indexed(b"participation", round);
-                rng.shuffle(&mut pool);
-                pool.into_iter().take(q).collect()
-            }
-            _ => online.iter().copied().collect(),
-        };
+        let participants = select_participants(&self.config, round, online);
         // Participants train and upload; the rest only synchronize.
         let mut train_loss_sum = 0.0f32;
         for (i, p) in self.parties.iter_mut().enumerate() {

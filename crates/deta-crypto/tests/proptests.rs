@@ -3,7 +3,7 @@
 use deta_crypto::dh::EphemeralSecret;
 use deta_crypto::sha256::{hkdf, hmac_sha256, sha256};
 use deta_crypto::{open, seal, AeadKey, DetRng, Nonce, Signature, SigningKey};
-use deta_proptest::{cases, Gen};
+use deta_proptest::cases;
 
 #[test]
 fn sha256_is_deterministic_and_sensitive() {

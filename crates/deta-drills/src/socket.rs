@@ -2,6 +2,10 @@
 //! wire primitives, free to violate the discipline `run_node` enforces)
 //! replays frames, reorders frames, and impersonates an aggregator seat
 //! against a live [`SocketHub`].
+//!
+//! The rogue kit ([`start_hub`], [`Rogue`], [`wait_error`]) is public:
+//! the root package's `socket_faults` tests drive the same client
+//! against the same one-seat hub.
 
 use crate::Drill;
 use deta_crypto::{DetRng, SigningKey};
@@ -18,33 +22,36 @@ use std::time::{Duration, Instant};
 
 const SEED: u64 = 0xD0D0;
 
-/// A hub with one connectable party seat and one plain hub-network
-/// endpoint (`agg-0`) kept for delivery assertions.
-fn start_hub() -> (SocketHub, Network, Endpoint, SigningKey) {
+/// A hub keyed by `seed` with one connectable seat (`party-0`) and one
+/// plain hub-network endpoint (`agg-0`) kept for delivery assertions.
+/// Returns the hub, its network, the `agg-0` endpoint and `party-0`'s
+/// link key.
+pub fn start_hub(seed: u64) -> (SocketHub, Network, Endpoint, SigningKey) {
     let network = Network::new(LinkModel::lan());
     let agg = network.register("agg-0");
-    let link = party_link_key(SEED, "party-0");
+    let link = party_link_key(seed, "party-0");
     let seats = vec![HubSeat {
         name: "party-0".to_string(),
         key: link.verifying_key(),
         endpoint: network.register("party-0"),
     }];
-    let hub = SocketHub::bind(network.clone(), seats, SEED).expect("hub bind");
+    let hub = SocketHub::bind(network.clone(), seats, seed).expect("hub bind");
     (hub, network, agg, link)
 }
 
 /// A minimal bridge-protocol client that can misbehave at will.
-struct Rogue {
+pub struct Rogue {
     stream: TcpStream,
     decoder: FrameDecoder,
     channel: SecureChannel,
 }
 
 impl Rogue {
-    /// Handshakes and authenticates as `name`; `None` when the hub
-    /// refuses the auth proof.
-    fn connect(addr: SocketAddr, name: &str, link: &SigningKey) -> Option<Rogue> {
-        let mut rng = DetRng::from_u64(SEED)
+    /// Handshakes with the hub at `addr` (keyed by `seed`) and
+    /// authenticates as `name` with `link`; `None` when the hub refuses
+    /// the auth proof.
+    pub fn connect(addr: SocketAddr, seed: u64, name: &str, link: &SigningKey) -> Option<Rogue> {
+        let mut rng = DetRng::from_u64(seed)
             .fork(b"rogue-client")
             .fork(name.as_bytes());
         let stream = TcpStream::connect(addr).expect("connect");
@@ -57,7 +64,7 @@ impl Rogue {
         s.write_all(&encode_frame(init.hello())).expect("hello");
         let response = read_raw(&mut s, &mut decoder).expect("handshake response");
         let channel = init
-            .complete(&response, &hub_verifying_key(SEED))
+            .complete(&response, &hub_verifying_key(seed))
             .expect("handshake");
         let mut rogue = Rogue {
             stream,
@@ -88,7 +95,8 @@ impl Rogue {
         Some(rogue)
     }
 
-    fn send(&mut self, frame: &SocketFrame) {
+    /// Seals and writes one frame.
+    pub fn send(&mut self, frame: &SocketFrame) {
         let record = self.channel.seal_msg(&frame.encode());
         self.stream
             .write_all(&encode_frame(&record))
@@ -97,7 +105,7 @@ impl Rogue {
 
     /// A data frame sealed as a *fresh* record but carrying an arbitrary
     /// logical sequence number — a byte-level-valid replay.
-    fn send_data(&mut self, dst: &str, seq: u64, payload: &[u8]) {
+    pub fn send_data(&mut self, dst: &str, seq: u64, payload: &[u8]) {
         self.send(&SocketFrame::Data {
             src: "party-0".to_string(),
             dst: dst.to_string(),
@@ -106,7 +114,8 @@ impl Rogue {
         });
     }
 
-    fn recv(&mut self) -> Option<SocketFrame> {
+    /// Next frame from the hub, or `None` on EOF.
+    pub fn recv(&mut self) -> Option<SocketFrame> {
         let record = read_raw(&mut self.stream, &mut self.decoder)?;
         let plain = self.channel.open_msg(&record).expect("open record");
         Some(SocketFrame::decode(&plain).expect("decode frame"))
@@ -133,7 +142,7 @@ fn read_raw(stream: &mut TcpStream, decoder: &mut FrameDecoder) -> Option<Vec<u8
 }
 
 /// Polls until the hub records its first structured error.
-fn wait_error(hub: &SocketHub) -> Result<SocketError, String> {
+pub fn wait_error(hub: &SocketHub) -> Result<SocketError, String> {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         if let Some(e) = hub.first_error() {
@@ -202,8 +211,8 @@ pub fn drills() -> Vec<Drill> {
 }
 
 fn frame_replay() -> Result<String, String> {
-    let (hub, _network, agg, link) = start_hub();
-    let mut rogue = Rogue::connect(hub.addr(), "party-0", &link).ok_or("auth refused")?;
+    let (hub, _network, agg, link) = start_hub(SEED);
+    let mut rogue = Rogue::connect(hub.addr(), SEED, "party-0", &link).ok_or("auth refused")?;
     rogue.send_data("agg-0", 0, b"upload");
     agg.recv_timeout(Duration::from_secs(2))
         .map_err(|e| format!("honest frame not delivered: {e}"))?;
@@ -229,8 +238,8 @@ fn frame_replay() -> Result<String, String> {
 }
 
 fn frame_reorder() -> Result<String, String> {
-    let (hub, _network, agg, link) = start_hub();
-    let mut rogue = Rogue::connect(hub.addr(), "party-0", &link).ok_or("auth refused")?;
+    let (hub, _network, agg, link) = start_hub(SEED);
+    let mut rogue = Rogue::connect(hub.addr(), SEED, "party-0", &link).ok_or("auth refused")?;
     rogue.send_data("agg-0", 5, b"late");
     let err = wait_error(&hub)?;
     let observed = format!("SocketError::Replay — {err}");
@@ -253,8 +262,8 @@ fn frame_reorder() -> Result<String, String> {
 }
 
 fn reconnect_impersonation() -> Result<String, String> {
-    let (hub, network, agg, link) = start_hub();
-    let mut rogue = Rogue::connect(hub.addr(), "party-0", &link).ok_or("auth refused")?;
+    let (hub, network, agg, link) = start_hub(SEED);
+    let mut rogue = Rogue::connect(hub.addr(), SEED, "party-0", &link).ok_or("auth refused")?;
     rogue.send_data("agg-0", 0, b"upload");
     agg.recv_timeout(Duration::from_secs(2))
         .map_err(|e| format!("honest frame not delivered: {e}"))?;
@@ -267,7 +276,7 @@ fn reconnect_impersonation() -> Result<String, String> {
     // The impostor tries to claim the parked seat with its own key.
     let rng = DetRng::from_u64(SEED);
     let self_generated = SigningKey::generate(&mut rng.fork(b"impostor"));
-    if Rogue::connect(hub.addr(), "party-0", &self_generated).is_some() {
+    if Rogue::connect(hub.addr(), SEED, "party-0", &self_generated).is_some() {
         return Err("an impostor resumed the parked party-0 seat".to_string());
     }
     let err = wait_error(&hub)?;
@@ -278,8 +287,8 @@ fn reconnect_impersonation() -> Result<String, String> {
     }
     // The session must survive the failed takeover: the real owner
     // reconnects and the link picks up at the next sequence number.
-    let mut owner =
-        Rogue::connect(hub.addr(), "party-0", &link).ok_or("the real owner could not resume")?;
+    let mut owner = Rogue::connect(hub.addr(), SEED, "party-0", &link)
+        .ok_or("the real owner could not resume")?;
     owner.send_data("agg-0", 1, b"resumed");
     agg.recv_timeout(Duration::from_secs(2))
         .map_err(|e| format!("post-resume frame not delivered: {e}"))?;
@@ -288,8 +297,8 @@ fn reconnect_impersonation() -> Result<String, String> {
 }
 
 fn resume_replay() -> Result<String, String> {
-    let (hub, _network, agg, link) = start_hub();
-    let mut rogue = Rogue::connect(hub.addr(), "party-0", &link).ok_or("auth refused")?;
+    let (hub, _network, agg, link) = start_hub(SEED);
+    let mut rogue = Rogue::connect(hub.addr(), SEED, "party-0", &link).ok_or("auth refused")?;
     rogue.send_data("agg-0", 0, b"upload-0");
     rogue.send_data("agg-0", 1, b"upload-1");
     for seq in 0..2u64 {
@@ -300,7 +309,8 @@ fn resume_replay() -> Result<String, String> {
     // Resume/ResumeAck exchange under the legitimate key.
     drop(rogue);
     std::thread::sleep(Duration::from_millis(200));
-    let mut rogue = Rogue::connect(hub.addr(), "party-0", &link).ok_or("reconnect auth refused")?;
+    let mut rogue =
+        Rogue::connect(hub.addr(), SEED, "party-0", &link).ok_or("reconnect auth refused")?;
     rogue.send(&SocketFrame::Resume {
         src: "party-0".to_string(),
         windows: Vec::new(),
@@ -352,7 +362,7 @@ fn rogue_aggregator() -> Result<String, String> {
     }];
     let hub = SocketHub::bind(network.clone(), seats, SEED).map_err(|e| format!("bind: {e}"))?;
     let self_generated = SigningKey::generate(&mut rng.fork(b"rogue"));
-    if Rogue::connect(hub.addr(), "agg-1", &self_generated).is_some() {
+    if Rogue::connect(hub.addr(), SEED, "agg-1", &self_generated).is_some() {
         return Err("a rogue binary was welcomed onto the agg-1 seat".to_string());
     }
     let err = wait_error(&hub)?;

@@ -24,7 +24,7 @@ use deta_core::latency::{LatencyModel, RoundInputs};
 use deta_core::mapper::ModelMapper;
 use deta_core::party::Party;
 use deta_core::recovery::RecoveryKit;
-use deta_core::session::{DetaConfig, RoundMetrics, SessionParts};
+use deta_core::session::{select_participants, DetaConfig, RoundMetrics, SessionParts};
 use deta_core::transform::Transformer;
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::LabeledData;
@@ -250,19 +250,9 @@ impl ThreadedSession {
         self.supervisor
             .note("round_begin", &[("round", TelemetryValue::from(round))]);
 
-        // This round's participants: the sequential session's selection,
-        // replicated exactly (same RNG fork, same shuffle).
-        let online: Vec<usize> = (0..n).collect();
-        let participants: HashSet<usize> = match self.config.participation {
-            Some(q) if q < online.len() => {
-                let mut pool = online.clone();
-                let mut rng =
-                    DetRng::from_u64(self.config.seed).fork_indexed(b"participation", round);
-                rng.shuffle(&mut pool);
-                pool.into_iter().take(q).collect()
-            }
-            _ => online.iter().copied().collect(),
-        };
+        // This round's participants, drawn from every party index (see
+        // `select_participants` for why dropped parties stay in the pool).
+        let participants = select_participants(&self.config, round, (0..n).collect());
 
         // Byte attribution window: per-link delivered-byte counters are
         // snapshotted around the round, so the upload/download figures

@@ -15,6 +15,13 @@
 //! full deterministic `SessionParts` from the shared seed, keeps its
 //! own node, and connects back to the hub ([`node::run_node`]).
 //!
+//! [`bridge::run`] is the way to run such a deployment: it wires the
+//! session, the hub and one node per seat together, hosts the nodes on
+//! threads of this process or in child processes ([`bridge::Host`]),
+//! and tears everything down in one order on every path. `deta-cli
+//! cluster`/`trace`, the socket benches, the `multi_process` example and
+//! the parity tests all run through it.
+//!
 //! Every logical frame is injected exactly once into the hub's
 //! `Network` via [`deta_transport::Network::send_as`], so the fault
 //! seam — `FaultPolicy` verdicts, `NetTap` observation, per-link byte
@@ -37,6 +44,7 @@
 //! [`hub_identity`], [`party_link_key`]); in a real deployment these
 //! forks stand in for operator PKI and the CVM attestation flow.
 
+pub mod bridge;
 pub mod frame;
 pub mod hub;
 pub mod node;

@@ -15,15 +15,16 @@
 //! cargo run --release --example multi_process
 //! ```
 
-use deta::core::{DetaConfig, RoundMetrics};
+use deta::core::{fingerprint, DetaConfig};
 use deta::datasets::{iid_partition, DatasetSpec};
 use deta::nn::models::mlp;
 use deta::nn::train::LabeledData;
-use deta::runtime::{FailoverPolicy, RuntimeConfig, RuntimeError, ThreadedSession};
-use deta::socket::hub::seats_for;
-use deta::socket::SocketHub;
-use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use deta::runtime::{FailoverPolicy, RuntimeConfig, ThreadedSession};
+use deta::socket::bridge::{self, Deployment, Host};
+use std::collections::HashMap;
+use std::net::SocketAddr;
+use std::process::{Command, ExitCode};
+use std::time::Duration;
 
 const SEED: u64 = 42;
 const PARTIES: usize = 3;
@@ -110,39 +111,29 @@ fn coordinator() -> ExitCode {
         "== multi-process deployment: {PARTIES} parties + {AGGREGATORS} aggregators, \
          one OS process each, TCP loopback =="
     );
-    let mut hub_slot: Option<SocketHub> = None;
-    let mut children: Vec<std::process::Child> = Vec::new();
-    let mut session = ThreadedSession::setup_detached(
-        config(),
-        &builder,
-        shards.clone(),
-        runtime(),
-        |nodes, network| {
-            let seats = seats_for(&nodes, SEED);
-            let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-            drop(nodes);
-            let hub = SocketHub::bind(network.clone(), seats, SEED)
-                .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;
-            let addr = hub.addr().to_string();
-            for name in &names {
-                println!("   spawning process for {name}");
-                let c = std::process::Command::new(&exe)
-                    .args(["--node", name, &addr])
-                    .spawn()
-                    .map_err(RuntimeError::Spawn)?;
-                children.push(c);
-            }
-            hub_slot = Some(hub);
-            Ok(())
-        },
-    )
-    .expect("socket setup");
-    let metrics = session.run(&test).expect("socket run");
-    reap(&mut children);
-    if let Some(e) = hub_slot.expect("hub bound").join() {
-        eprintln!("hub error: {e}");
-        return ExitCode::FAILURE;
-    }
+    let spawn = |name: &str, addr: SocketAddr| {
+        println!("   spawning process for {name}");
+        Command::new(&exe)
+            .args(["--node", name, &addr.to_string()])
+            .spawn()
+    };
+    let run = bridge::run(Deployment {
+        config: config(),
+        builder: &builder,
+        shards: &shards,
+        test: &test,
+        runtime: runtime(),
+        chaos: HashMap::new(),
+        instrument: &|_| {},
+        host: Host::Processes(&spawn),
+    });
+    let metrics = match run.and_then(|bridged| bridged.result) {
+        Ok(metrics) => metrics,
+        Err(e) => {
+            eprintln!("bridged run failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     for m in &metrics {
         println!(
             "round {:2}  loss {:.4}  acc {:5.1}%  up {} bytes",
@@ -167,40 +158,5 @@ fn coordinator() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-fn fingerprint(metrics: &[RoundMetrics]) -> Vec<(f32, f32, f32, u64, u64)> {
-    metrics
-        .iter()
-        .map(|m| {
-            (
-                m.train_loss,
-                m.test_loss,
-                m.test_accuracy,
-                m.upload_bytes,
-                m.download_bytes,
-            )
-        })
-        .collect()
-}
-
-/// Waits for every child with a hard bound; a wedged node is killed.
-fn reap(children: &mut [std::process::Child]) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    for child in children {
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => break,
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                _ => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    break;
-                }
-            }
-        }
     }
 }

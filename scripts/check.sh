@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full local gate: build, tests (including the deta-lint clean check in
-# tests/lint_clean.rs), formatting, and clippy with warnings as errors.
+# Full local gate: build, the tests of every workspace crate (including
+# the deta-lint clean check in tests/lint_clean.rs), formatting, and
+# clippy over every workspace target with warnings as errors.
 # Run from anywhere inside the workspace; requires no network.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -8,8 +9,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> sim sweep (200 seeds x2, verdict determinism + corpus verify)"
 # Wall-clock is bounded by the fleet's supervisor deadlines (SimSpec);
@@ -172,7 +173,7 @@ cargo run --release -q -p deta-lint -- --json > results/lint-report.json
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> all checks passed"

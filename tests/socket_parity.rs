@@ -2,61 +2,45 @@
 //! loopback must produce *bit-identical* round metrics to the in-process
 //! `ThreadedSession` for the same seed.
 //!
-//! Children here are hosted on threads of this test process (each one
-//! calling `deta_socket::run_node`, exactly what the `deta-cli node`
-//! subcommand does in a real child process), so every byte still crosses
-//! a real TCP socket with framing, sealing, sequencing, and the
-//! challenge-response auth — only the OS process boundary is elided.
+//! Every run goes through `deta_socket::bridge::run`, the harness
+//! `deta-cli cluster` uses, with nodes hosted on threads of this test
+//! process (each one calling `deta_socket::run_node`, exactly what the
+//! `deta-cli node` subcommand does in a child process), so every byte
+//! still crosses a real TCP socket with framing, sealing, sequencing,
+//! and the challenge-response auth — only the OS process boundary is
+//! elided.
 //! `crates/deta-cli/tests/multi_process.rs` covers the real-process
 //! variant end to end.
 
-use deta::core::{AggKind, DetaConfig, RoundMetrics};
+use deta::core::{fingerprint, AggKind, DetaConfig, ModelBuilder, RoundMetrics};
 use deta::datasets::{iid_partition, DatasetSpec};
 use deta::nn::models::mlp;
 use deta::nn::train::LabeledData;
-use deta::runtime::{RuntimeConfig, RuntimeError, ThreadedSession};
-use deta::socket::hub::seats_for;
-use deta::socket::{run_node, SocketError, SocketHub};
+use deta::runtime::{RuntimeConfig, ThreadedSession};
+use deta::socket::bridge::{self, Deployment, Host};
 use deta::transport::{FaultPolicy, Network, SendVerdict};
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-fn data(n: usize, parties: usize) -> (Vec<LabeledData>, LabeledData, usize, usize) {
+fn data(n: usize, parties: usize) -> (Vec<LabeledData>, LabeledData, Box<ModelBuilder>) {
     let spec = DatasetSpec::mnist_like().at_resolution(8);
     let train = spec.generate(n, 1);
     let test = spec.generate(60, 2);
+    let (dim, classes) = (spec.dim(), spec.classes);
     (
         iid_partition(&train, parties, 3),
         test,
-        spec.dim(),
-        spec.classes,
+        Box::new(move |rng| mlp(&[dim, 16, classes], rng)),
     )
-}
-
-/// The deterministic slice of a round's metrics. Latency fields are
-/// wall-clock and excluded by construction.
-fn fingerprint(metrics: &[RoundMetrics]) -> Vec<(f32, f32, f32, u64, u64)> {
-    metrics
-        .iter()
-        .map(|m| {
-            (
-                m.train_loss,
-                m.test_loss,
-                m.test_accuracy,
-                m.upload_bytes,
-                m.download_bytes,
-            )
-        })
-        .collect()
 }
 
 /// Loss/accuracy-only view, for runs where injected faults legitimately
 /// change byte counts but must not change the learned model.
-fn learning_fingerprint(metrics: &[RoundMetrics]) -> Vec<(f32, f32, f32)> {
-    metrics
-        .iter()
-        .map(|m| (m.train_loss, m.test_loss, m.test_accuracy))
+fn learning_fingerprint(metrics: &[RoundMetrics]) -> Vec<(u32, u32, u32)> {
+    fingerprint(metrics)
+        .into_iter()
+        .map(|(train, test, acc, _, _)| (train, test, acc))
         .collect()
 }
 
@@ -64,79 +48,52 @@ fn run_inprocess(
     cfg: DetaConfig,
     shards: Vec<LabeledData>,
     test: &LabeledData,
-    dim: usize,
-    classes: usize,
+    builder: &ModelBuilder,
 ) -> Vec<RoundMetrics> {
-    let mut session = ThreadedSession::setup(
-        cfg,
-        &move |rng| mlp(&[dim, 16, classes], rng),
-        shards,
-        RuntimeConfig::default(),
-    )
-    .expect("in-process setup");
+    let mut session = ThreadedSession::setup(cfg, builder, shards, RuntimeConfig::default())
+        .expect("in-process setup");
     session.run(test).expect("in-process run")
 }
 
 /// Runs the same session with every node detached behind the TCP
-/// bridge. `instrument` gets the hub network before any child connects
-/// (for fault-seam tests). Panics on any child or hub error.
+/// bridge, nodes hosted on threads of this process. `instrument` gets
+/// the hub network before any node connects (for fault-seam tests);
+/// `chaos` is the hub's sever plan. Panics on any session, node or hub
+/// error.
 fn run_socket(
     cfg: DetaConfig,
-    shards: Vec<LabeledData>,
+    shards: &[LabeledData],
     test: &LabeledData,
-    dim: usize,
-    classes: usize,
-    instrument: impl FnOnce(&Network),
+    builder: &ModelBuilder,
+    runtime: RuntimeConfig,
+    chaos: HashMap<String, Vec<u64>>,
+    instrument: &dyn Fn(&Network),
 ) -> Vec<RoundMetrics> {
-    let seed = cfg.seed;
-    let mut hub_slot: Option<SocketHub> = None;
-    let mut children: Vec<JoinHandle<Result<(), SocketError>>> = Vec::new();
-    let child_cfg = cfg.clone();
-    let child_shards = shards.clone();
-    let mut session = ThreadedSession::setup_detached(
-        cfg,
-        &move |rng| mlp(&[dim, 16, classes], rng),
+    bridge::run(Deployment {
+        config: cfg,
+        builder,
         shards,
-        RuntimeConfig::default(),
-        |nodes, network| {
-            instrument(network);
-            let seats = seats_for(&nodes, seed);
-            let names: Vec<String> = seats.iter().map(|s| s.name.clone()).collect();
-            drop(nodes);
-            let hub = SocketHub::bind(network.clone(), seats, seed)
-                .map_err(|_| RuntimeError::Protocol("socket hub failed to bind"))?;
-            let addr = hub.addr();
-            for name in names {
-                let cfg = child_cfg.clone();
-                let shards = child_shards.clone();
-                children.push(std::thread::spawn(move || {
-                    let builder =
-                        move |rng: &mut deta::crypto::DetRng| mlp(&[dim, 16, classes], rng);
-                    run_node(
-                        addr,
-                        &name,
-                        cfg,
-                        &builder,
-                        shards,
-                        Duration::from_millis(10),
-                    )
-                }));
-            }
-            hub_slot = Some(hub);
-            Ok(())
+        test,
+        runtime,
+        chaos,
+        instrument,
+        host: Host::Threads {
+            tick: Duration::from_millis(10),
         },
-    )
-    .expect("socket setup");
-    let metrics = session.run(test).expect("socket run");
-    for child in children {
-        child
-            .join()
-            .expect("child thread must not panic")
-            .expect("child must exit cleanly");
-    }
-    let hub_err = hub_slot.expect("hub must have been bound").join();
-    assert!(hub_err.is_none(), "hub observed an error: {hub_err:?}");
-    metrics
+    })
+    .and_then(|bridged| bridged.result)
+    .expect("bridged run must succeed")
+}
+
+/// A fault-free bridged run with the default runtime policy.
+fn run_clean(
+    cfg: DetaConfig,
+    shards: &[LabeledData],
+    test: &LabeledData,
+    builder: &ModelBuilder,
+) -> Vec<RoundMetrics> {
+    let rt = RuntimeConfig::default();
+    run_socket(cfg, shards, test, builder, rt, HashMap::new(), &|_| {})
 }
 
 #[test]
@@ -144,9 +101,9 @@ fn socket_equals_inprocess_fedavg_k2() {
     let mut cfg = DetaConfig::deta(3, 2);
     cfg.n_aggregators = 2;
     cfg.seed = 42;
-    let (shards, test, dim, classes) = data(120, cfg.n_parties);
-    let local = run_inprocess(cfg.clone(), shards.clone(), &test, dim, classes);
-    let remote = run_socket(cfg, shards, &test, dim, classes, |_| {});
+    let (shards, test, builder) = data(120, cfg.n_parties);
+    let local = run_inprocess(cfg.clone(), shards.clone(), &test, &*builder);
+    let remote = run_clean(cfg, &shards, &test, &*builder);
     assert_eq!(
         fingerprint(&local),
         fingerprint(&remote),
@@ -160,9 +117,9 @@ fn socket_equals_inprocess_coordinate_median_k2() {
     cfg.n_aggregators = 2;
     cfg.algorithm = AggKind::CoordinateMedian;
     cfg.seed = 7;
-    let (shards, test, dim, classes) = data(120, cfg.n_parties);
-    let local = run_inprocess(cfg.clone(), shards.clone(), &test, dim, classes);
-    let remote = run_socket(cfg, shards, &test, dim, classes, |_| {});
+    let (shards, test, builder) = data(120, cfg.n_parties);
+    let local = run_inprocess(cfg.clone(), shards.clone(), &test, &*builder);
+    let remote = run_clean(cfg, &shards, &test, &*builder);
     assert_eq!(
         fingerprint(&local),
         fingerprint(&remote),
@@ -194,14 +151,58 @@ fn socket_duplicated_uploads_are_idempotent() {
     let mut cfg = DetaConfig::deta(3, 2);
     cfg.n_aggregators = 2;
     cfg.seed = 99;
-    let (shards, test, dim, classes) = data(120, cfg.n_parties);
-    let clean = run_socket(cfg.clone(), shards.clone(), &test, dim, classes, |_| {});
-    let faulted = run_socket(cfg, shards, &test, dim, classes, |network| {
-        network.set_fault_policy(Arc::new(DuplicateUploads));
-    });
+    let (shards, test, builder) = data(120, cfg.n_parties);
+    let clean = run_clean(cfg.clone(), &shards, &test, &*builder);
+    let rt = RuntimeConfig::default();
+    let faulted = run_socket(
+        cfg,
+        &shards,
+        &test,
+        &*builder,
+        rt,
+        HashMap::new(),
+        &|network| {
+            network.set_fault_policy(Arc::new(DuplicateUploads));
+        },
+    );
     assert_eq!(
         learning_fingerprint(&clean),
         learning_fingerprint(&faulted),
         "duplicated uploads over sockets must not change the model"
+    );
+}
+
+/// Thread-hosted link chaos: the hub severs `party-0`'s TCP connection
+/// abruptly (no `Bye`) after its 4th, 9th and 15th ingress frames. Each
+/// sever forces a park, backoff, re-auth, resume and replay cycle, and
+/// the healed run must be bit-identical to the fault-free one. Trigger
+/// retries sit past the deadline horizon, as in every lossless bridged
+/// run, so a retry's duplicate fan-out cannot move the byte counts.
+#[test]
+fn socket_severed_link_is_bit_exact() {
+    let mut cfg = DetaConfig::deta(4, 5);
+    cfg.n_aggregators = 2;
+    cfg.seed = 42;
+    let (shards, test, builder) = data(240, cfg.n_parties);
+    let rt = RuntimeConfig {
+        retry_initial: Duration::from_secs(3600),
+        retry_max: Duration::from_secs(3600),
+        ..RuntimeConfig::default()
+    };
+    let clean = run_socket(
+        cfg.clone(),
+        &shards,
+        &test,
+        &*builder,
+        rt.clone(),
+        HashMap::new(),
+        &|_| {},
+    );
+    let chaos = HashMap::from([("party-0".to_string(), vec![4, 9, 15])]);
+    let severed = run_socket(cfg, &shards, &test, &*builder, rt, chaos, &|_| {});
+    assert_eq!(
+        fingerprint(&clean),
+        fingerprint(&severed),
+        "three severs of party-0 must leave the run bit-identical"
     );
 }
