@@ -16,12 +16,13 @@
 
 use crate::agg::Aggregation;
 use crate::proxy::TOKEN_SECRET_LABEL;
-use crate::wire::Msg;
+use crate::wire::{EncodeError, Msg};
 use deta_bignum::BigUint;
 use deta_crypto::{DetRng, SigningKey};
 use deta_paillier::{Ciphertext, PublicKey as PaillierPk};
 use deta_sev_sim::Cvm;
 use deta_telemetry::TelemetryValue;
+use deta_transport::wire::{Reader, Writer};
 use deta_transport::{secure, Endpoint, SecureChannel};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -474,26 +475,12 @@ impl AggregatorNode {
             .map(|n| self.registered.get(*n).copied().unwrap_or(1.0))
             .collect();
         // Record the fragments in CVM guest memory: this is precisely what
-        // a breach of this aggregator leaks. Length-prefixed records of
-        // (party name, Upload message).
+        // a breach of this aggregator leaks (see `parse_breached_memory`).
         let mut mem = Vec::new();
         for (name, input) in names.iter().zip(inputs.iter()) {
-            let name_bytes = name.as_bytes();
-            let msg = Msg::Upload {
-                round,
-                fragment: input.clone(),
-            };
-            let (Ok(name_len), Ok(encoded)) = (u32::try_from(name_bytes.len()), msg.encode())
-            else {
-                continue;
-            };
-            let Ok(msg_len) = u32::try_from(encoded.len()) else {
-                continue;
-            };
-            mem.extend_from_slice(&name_len.to_le_bytes());
-            mem.extend_from_slice(name_bytes);
-            mem.extend_from_slice(&msg_len.to_le_bytes());
-            mem.extend_from_slice(&encoded);
+            if let Ok(record) = breach_record(name, round, input) {
+                mem.extend_from_slice(&record);
+            }
         }
         self.cvm.guest().write(&mem);
         let t0 = Instant::now();
@@ -582,6 +569,20 @@ impl AggregatorNode {
     }
 }
 
+/// One guest-memory record: the `u32`-prefixed party name, then the
+/// `u32`-prefixed encoding of its [`Msg::Upload`].
+fn breach_record(name: &str, round: u64, fragment: &[f32]) -> Result<Vec<u8>, EncodeError> {
+    let upload = Msg::Upload {
+        round,
+        fragment: fragment.to_vec(),
+    }
+    .encode()?;
+    let mut w = Writer::new();
+    w.string(name)?;
+    w.bytes(&upload)?;
+    Ok(w.into_bytes())
+}
+
 /// Parses a breached aggregator's guest memory into the model-update
 /// fragments it held: `(party name, round, fragment)` records.
 ///
@@ -589,35 +590,12 @@ impl AggregatorNode {
 /// [`AggregatorNode`]'s aggregation path; malformed trailing bytes are
 /// ignored.
 pub fn parse_breached_memory(memory: &[u8]) -> Vec<(String, u64, Vec<f32>)> {
+    let mut r = Reader::new(memory);
     let mut out = Vec::new();
-    let mut pos = 0usize;
-    let read_u32 = |buf: &[u8], pos: usize| -> Option<usize> {
-        let b = buf.get(pos..pos + 4)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        Some(u32::from_le_bytes(a) as usize)
-    };
-    while pos + 4 <= memory.len() {
-        let Some(name_len) = read_u32(memory, pos) else {
-            break;
-        };
-        pos += 4;
-        let Some(name_bytes) = memory.get(pos..pos + name_len) else {
-            break;
-        };
-        let Ok(name) = String::from_utf8(name_bytes.to_vec()) else {
-            break;
-        };
-        pos += name_len;
-        let Some(msg_len) = read_u32(memory, pos) else {
-            break;
-        };
-        pos += 4;
-        let Some(msg_bytes) = memory.get(pos..pos + msg_len) else {
-            break;
-        };
-        pos += msg_len;
-        if let Ok(Msg::Upload { round, fragment }) = Msg::decode(msg_bytes) {
+    while r.remaining() >= 4 {
+        let Ok(name) = r.string() else { break };
+        let Ok(upload) = r.slice() else { break };
+        if let Ok(Msg::Upload { round, fragment }) = Msg::decode(upload) {
             out.push((name, round, fragment));
         }
     }

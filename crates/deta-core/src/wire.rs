@@ -1,15 +1,18 @@
 //! Wire protocol between parties and aggregators.
 //!
-//! A small hand-rolled binary codec (tag byte + length-prefixed fields).
-//! Handshake messages from `deta-transport` travel as raw frames; every
-//! message defined here is carried *inside* a secure-channel record once
-//! the channel is up, except the initial [`Msg::Hello`] wrapper that
-//! bootstraps it.
+//! A tag byte plus length-prefixed fields, built on the workspace's one
+//! byte codec, [`deta_transport::wire`]. Handshake messages from
+//! `deta-transport` travel as raw frames; every message defined here is
+//! carried *inside* a secure-channel record once the channel is up,
+//! except the initial [`Msg::Hello`] wrapper that bootstraps it.
 //!
 //! Both directions are total: [`Msg::decode`] never panics on malformed
 //! input (attacker-controlled bytes reach it directly), and
 //! [`Msg::encode`] reports oversized fields instead of silently
 //! truncating their length prefixes.
+
+pub use deta_transport::wire::{DecodeError, EncodeError};
+use deta_transport::wire::{Reader, Writer};
 
 /// Protocol messages.
 #[derive(Clone, Debug, PartialEq)]
@@ -108,136 +111,6 @@ const TAG_SYNC_DONE: u8 = 10;
 const TAG_UPLOAD_ENC: u8 = 11;
 const TAG_AGGREGATED_ENC: u8 = 12;
 
-/// Decode errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodeError;
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed wire message")
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// Encode errors: a variable-length field exceeds the u32 length prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncodeError;
-
-impl std::fmt::Display for EncodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "wire message field exceeds u32 length prefix")
-    }
-}
-
-impl std::error::Error for EncodeError {}
-
-fn put_len(out: &mut Vec<u8>, len: usize) -> Result<(), EncodeError> {
-    let len = u32::try_from(len).map_err(|_| EncodeError)?;
-    out.extend_from_slice(&len.to_le_bytes());
-    Ok(())
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) -> Result<(), EncodeError> {
-    put_len(out, b.len())?;
-    out.extend_from_slice(b);
-    Ok(())
-}
-
-fn put_f32s(out: &mut Vec<u8>, v: &[f32]) -> Result<(), EncodeError> {
-    put_len(out, v.len())?;
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    Ok(())
-}
-
-fn put_vec_bytes(out: &mut Vec<u8>, v: &[Vec<u8>]) -> Result<(), EncodeError> {
-    put_len(out, v.len())?;
-    for b in v {
-        put_bytes(out, b)?;
-    }
-    Ok(())
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.buf.len() {
-            return Err(DecodeError);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads a fixed-size array; length is guaranteed by `take`.
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
-        let s = self.take(N)?;
-        let mut out = [0u8; N];
-        out.copy_from_slice(s);
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn f32(&mut self) -> Result<f32, DecodeError> {
-        Ok(f32::from_le_bytes(self.array()?))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, DecodeError> {
-        let n = self.u32()? as usize;
-        if self.pos + n.checked_mul(4).ok_or(DecodeError)? > self.buf.len() {
-            return Err(DecodeError);
-        }
-        (0..n).map(|_| self.f32()).collect()
-    }
-
-    fn vec_bytes(&mut self) -> Result<Vec<Vec<u8>>, DecodeError> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(self.bytes()?);
-        }
-        Ok(out)
-    }
-
-    fn array16(&mut self) -> Result<[u8; 16], DecodeError> {
-        self.array()
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(DecodeError)
-        }
-    }
-}
-
 impl Msg {
     /// The variant's name, for counted-drop telemetry labels.
     pub fn name(&self) -> &'static str {
@@ -264,50 +137,50 @@ impl Msg {
     /// senders but kept total so no caller can construct a frame that
     /// decodes to something else.
     pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
-        let mut out = Vec::new();
+        let mut w = Writer::new();
         match self {
             Msg::Hello { handshake } => {
-                out.push(TAG_HELLO);
-                put_bytes(&mut out, handshake)?;
+                w.u8(TAG_HELLO);
+                w.bytes(handshake)?;
             }
             Msg::HelloReply { handshake } => {
-                out.push(TAG_HELLO_REPLY);
-                put_bytes(&mut out, handshake)?;
+                w.u8(TAG_HELLO_REPLY);
+                w.bytes(handshake)?;
             }
             Msg::Record { sealed } => {
-                out.push(TAG_RECORD);
-                put_bytes(&mut out, sealed)?;
+                w.u8(TAG_RECORD);
+                w.bytes(sealed)?;
             }
             Msg::Register { party, weight } => {
-                out.push(TAG_REGISTER);
-                put_bytes(&mut out, party.as_bytes())?;
-                out.extend_from_slice(&weight.to_le_bytes());
+                w.u8(TAG_REGISTER);
+                w.string(party)?;
+                w.f32(*weight);
             }
-            Msg::RegisterAck => out.push(TAG_REGISTER_ACK),
+            Msg::RegisterAck => w.u8(TAG_REGISTER_ACK),
             Msg::RoundStart { round, training_id } => {
-                out.push(TAG_ROUND_START);
-                out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(training_id);
+                w.u8(TAG_ROUND_START);
+                w.u64(*round);
+                w.raw(training_id);
             }
             Msg::Upload { round, fragment } => {
-                out.push(TAG_UPLOAD);
-                out.extend_from_slice(&round.to_le_bytes());
-                put_f32s(&mut out, fragment)?;
+                w.u8(TAG_UPLOAD);
+                w.u64(*round);
+                w.f32s(fragment)?;
             }
             Msg::UploadEncrypted {
                 round,
                 ciphertexts,
                 value_count,
             } => {
-                out.push(TAG_UPLOAD_ENC);
-                out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(&value_count.to_le_bytes());
-                put_vec_bytes(&mut out, ciphertexts)?;
+                w.u8(TAG_UPLOAD_ENC);
+                w.u64(*round);
+                w.u64(*value_count);
+                w.byte_list(ciphertexts)?;
             }
             Msg::Aggregated { round, fragment } => {
-                out.push(TAG_AGGREGATED);
-                out.extend_from_slice(&round.to_le_bytes());
-                put_f32s(&mut out, fragment)?;
+                w.u8(TAG_AGGREGATED);
+                w.u64(*round);
+                w.f32s(fragment)?;
             }
             Msg::AggregatedEncrypted {
                 round,
@@ -315,23 +188,23 @@ impl Msg {
                 value_count,
                 summands,
             } => {
-                out.push(TAG_AGGREGATED_ENC);
-                out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(&value_count.to_le_bytes());
-                out.extend_from_slice(&summands.to_le_bytes());
-                put_vec_bytes(&mut out, ciphertexts)?;
+                w.u8(TAG_AGGREGATED_ENC);
+                w.u64(*round);
+                w.u64(*value_count);
+                w.u64(*summands);
+                w.byte_list(ciphertexts)?;
             }
             Msg::SyncRound { round, training_id } => {
-                out.push(TAG_SYNC_ROUND);
-                out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(training_id);
+                w.u8(TAG_SYNC_ROUND);
+                w.u64(*round);
+                w.raw(training_id);
             }
             Msg::SyncDone { round } => {
-                out.push(TAG_SYNC_DONE);
-                out.extend_from_slice(&round.to_le_bytes());
+                w.u8(TAG_SYNC_DONE);
+                w.u64(*round);
             }
         }
-        Ok(out)
+        Ok(w.into_bytes())
     }
 
     /// Parses a message.
@@ -347,13 +220,13 @@ impl Msg {
             },
             TAG_RECORD => Msg::Record { sealed: r.bytes()? },
             TAG_REGISTER => Msg::Register {
-                party: String::from_utf8(r.bytes()?).map_err(|_| DecodeError)?,
+                party: r.string()?,
                 weight: r.f32()?,
             },
             TAG_REGISTER_ACK => Msg::RegisterAck,
             TAG_ROUND_START => Msg::RoundStart {
                 round: r.u64()?,
-                training_id: r.array16()?,
+                training_id: r.array()?,
             },
             TAG_UPLOAD => Msg::Upload {
                 round: r.u64()?,
@@ -362,7 +235,7 @@ impl Msg {
             TAG_UPLOAD_ENC => Msg::UploadEncrypted {
                 round: r.u64()?,
                 value_count: r.u64()?,
-                ciphertexts: r.vec_bytes()?,
+                ciphertexts: r.byte_list()?,
             },
             TAG_AGGREGATED => Msg::Aggregated {
                 round: r.u64()?,
@@ -372,11 +245,11 @@ impl Msg {
                 round: r.u64()?,
                 value_count: r.u64()?,
                 summands: r.u64()?,
-                ciphertexts: r.vec_bytes()?,
+                ciphertexts: r.byte_list()?,
             },
             TAG_SYNC_ROUND => Msg::SyncRound {
                 round: r.u64()?,
-                training_id: r.array16()?,
+                training_id: r.array()?,
             },
             TAG_SYNC_DONE => Msg::SyncDone { round: r.u64()? },
             _ => return Err(DecodeError),

@@ -7,7 +7,7 @@ use deta_crypto::DetRng;
 use deta_proptest::{cases, Gen};
 
 fn arb_msg(g: &mut Gen) -> Msg {
-    match g.usize_in(0, 11) {
+    match g.usize_in(0, 12) {
         0 => Msg::Hello {
             handshake: g.bytes(0, 128),
         },
@@ -39,7 +39,13 @@ fn arb_msg(g: &mut Gen) -> Msg {
             ciphertexts: g.vec_of(0, 8, |g| g.bytes(0, 32)),
             value_count: g.u64(),
         },
-        9 => Msg::SyncRound {
+        9 => Msg::AggregatedEncrypted {
+            round: g.u64(),
+            ciphertexts: g.vec_of(0, 8, |g| g.bytes(0, 32)),
+            value_count: g.u64(),
+            summands: g.u64(),
+        },
+        10 => Msg::SyncRound {
             round: g.u64(),
             training_id: g.array::<16>(),
         },

@@ -3,11 +3,13 @@
 //! Control messages ride the same simulated network as the training
 //! protocol, distinguished purely by the sender: every node treats frames
 //! from [`SUPERVISOR`] as control traffic and everything else as wire
-//! protocol (`deta_core::wire::Msg`). The codec mirrors the wire codec's
-//! discipline: a tag byte plus length-prefixed fields, total in both
-//! directions — decoding never panics on malformed bytes, and encoding
-//! refuses fields that would overflow their `u32` length prefix instead
-//! of truncating.
+//! protocol (`deta_core::wire::Msg`). Both codecs are built on the
+//! workspace's one byte codec, [`deta_transport::wire`]: a tag byte plus
+//! length-prefixed fields, total in both directions — decoding never
+//! panics on malformed bytes, and encoding refuses fields that would
+//! overflow their `u32` length prefix instead of truncating.
+
+use deta_transport::wire::{DecodeError, EncodeError, Reader, Writer};
 
 /// The supervisor's endpoint name. Reserved: no party or aggregator is
 /// ever named this, so the sender check is unambiguous.
@@ -164,149 +166,6 @@ const TAG_REOPEN: u8 = 12;
 const TAG_TOPOLOGY: u8 = 13;
 const TAG_DEREGISTER: u8 = 14;
 
-/// Decode errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CtlDecodeError;
-
-impl std::fmt::Display for CtlDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed control message")
-    }
-}
-
-impl std::error::Error for CtlDecodeError {}
-
-/// Encode errors: a variable-length field exceeds the u32 length prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CtlEncodeError;
-
-impl std::fmt::Display for CtlEncodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "control message field exceeds u32 length prefix")
-    }
-}
-
-impl std::error::Error for CtlEncodeError {}
-
-fn put_len(out: &mut Vec<u8>, len: usize) -> Result<(), CtlEncodeError> {
-    let len = u32::try_from(len).map_err(|_| CtlEncodeError)?;
-    out.extend_from_slice(&len.to_le_bytes());
-    Ok(())
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) -> Result<(), CtlEncodeError> {
-    put_len(out, b.len())?;
-    out.extend_from_slice(b);
-    Ok(())
-}
-
-fn put_f32s(out: &mut Vec<u8>, v: &[f32]) -> Result<(), CtlEncodeError> {
-    put_len(out, v.len())?;
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    Ok(())
-}
-
-fn put_strings(out: &mut Vec<u8>, v: &[String]) -> Result<(), CtlEncodeError> {
-    put_len(out, v.len())?;
-    for s in v {
-        put_bytes(out, s.as_bytes())?;
-    }
-    Ok(())
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CtlDecodeError> {
-        if self.pos + n > self.buf.len() {
-            return Err(CtlDecodeError);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], CtlDecodeError> {
-        let s = self.take(N)?;
-        let mut out = [0u8; N];
-        out.copy_from_slice(s);
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, CtlDecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CtlDecodeError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, CtlDecodeError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn f32(&mut self) -> Result<f32, CtlDecodeError> {
-        Ok(f32::from_le_bytes(self.array()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, CtlDecodeError> {
-        Ok(f64::from_le_bytes(self.array()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, CtlDecodeError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CtlDecodeError),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, CtlDecodeError> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| CtlDecodeError)
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, CtlDecodeError> {
-        let n = self.u32()? as usize;
-        if self.pos + n.checked_mul(4).ok_or(CtlDecodeError)? > self.buf.len() {
-            return Err(CtlDecodeError);
-        }
-        (0..n).map(|_| self.f32()).collect()
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, CtlDecodeError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn strings(&mut self) -> Result<Vec<String>, CtlDecodeError> {
-        let n = self.u32()? as usize;
-        // Each entry costs at least a 4-byte length prefix; reject counts
-        // the buffer cannot possibly hold before allocating.
-        if self.pos + n.checked_mul(4).ok_or(CtlDecodeError)? > self.buf.len() {
-            return Err(CtlDecodeError);
-        }
-        (0..n).map(|_| self.string()).collect()
-    }
-
-    fn finish(self) -> Result<(), CtlDecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CtlDecodeError)
-        }
-    }
-}
-
 impl CtlMsg {
     /// The variant's name, for counted-drop telemetry labels.
     pub fn name(&self) -> &'static str {
@@ -334,32 +193,32 @@ impl CtlMsg {
     ///
     /// Fails when a field holds 2^32 or more elements, instead of
     /// truncating a length prefix.
-    pub fn encode(&self) -> Result<Vec<u8>, CtlEncodeError> {
-        let mut out = Vec::new();
+    pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
+        let mut w = Writer::new();
         match self {
-            CtlMsg::Ready => out.push(TAG_READY),
+            CtlMsg::Ready => w.u8(TAG_READY),
             CtlMsg::Failed { reason } => {
-                out.push(TAG_FAILED);
-                put_bytes(&mut out, reason.as_bytes())?;
+                w.u8(TAG_FAILED);
+                w.string(reason)?;
             }
             CtlMsg::Heartbeat { seq } => {
-                out.push(TAG_HEARTBEAT);
-                out.extend_from_slice(&seq.to_le_bytes());
+                w.u8(TAG_HEARTBEAT);
+                w.u64(*seq);
             }
             CtlMsg::Trigger { round, training_id } => {
-                out.push(TAG_TRIGGER);
-                out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(training_id);
+                w.u8(TAG_TRIGGER);
+                w.u64(*round);
+                w.raw(training_id);
             }
             CtlMsg::RoundPlan {
                 round,
                 train,
                 report_params,
             } => {
-                out.push(TAG_ROUND_PLAN);
-                out.extend_from_slice(&round.to_le_bytes());
-                out.push(u8::from(*train));
-                out.push(u8::from(*report_params));
+                w.u8(TAG_ROUND_PLAN);
+                w.u64(*round);
+                w.bool(*train);
+                w.bool(*report_params);
             }
             CtlMsg::PartyDone {
                 round,
@@ -370,34 +229,31 @@ impl CtlMsg {
                 crypto_s,
                 params,
             } => {
-                out.push(TAG_PARTY_DONE);
-                out.extend_from_slice(&round.to_le_bytes());
-                out.push(u8::from(*trained));
-                out.extend_from_slice(&train_loss.to_le_bytes());
-                out.extend_from_slice(&train_s.to_le_bytes());
-                out.extend_from_slice(&transform_s.to_le_bytes());
-                out.extend_from_slice(&crypto_s.to_le_bytes());
-                match params {
-                    None => out.push(0),
-                    Some(p) => {
-                        out.push(1);
-                        put_f32s(&mut out, p)?;
-                    }
+                w.u8(TAG_PARTY_DONE);
+                w.u64(*round);
+                w.bool(*trained);
+                w.f32(*train_loss);
+                w.f64(*train_s);
+                w.f64(*transform_s);
+                w.f64(*crypto_s);
+                w.bool(params.is_some());
+                if let Some(p) = params {
+                    w.f32s(p)?;
                 }
             }
             CtlMsg::AggDone { round, aggregate_s } => {
-                out.push(TAG_AGG_DONE);
-                out.extend_from_slice(&round.to_le_bytes());
-                out.extend_from_slice(&aggregate_s.to_le_bytes());
+                w.u8(TAG_AGG_DONE);
+                w.u64(*round);
+                w.f64(*aggregate_s);
             }
-            CtlMsg::Shutdown => out.push(TAG_SHUTDOWN),
+            CtlMsg::Shutdown => w.u8(TAG_SHUTDOWN),
             CtlMsg::Rebind { rebinds } => {
-                out.push(TAG_REBIND);
-                put_len(&mut out, rebinds.len())?;
+                w.u8(TAG_REBIND);
+                w.count(rebinds.len())?;
                 for e in rebinds {
-                    out.extend_from_slice(&e.index.to_le_bytes());
-                    put_bytes(&mut out, e.name.as_bytes())?;
-                    put_bytes(&mut out, &e.verifying_key)?;
+                    w.u32(e.index);
+                    w.string(&e.name)?;
+                    w.bytes(&e.verifying_key)?;
                 }
             }
             CtlMsg::Remap {
@@ -405,30 +261,30 @@ impl CtlMsg {
                 mapper,
                 aggs,
             } => {
-                out.push(TAG_REMAP);
-                out.extend_from_slice(&round.to_le_bytes());
-                put_bytes(&mut out, mapper)?;
-                put_strings(&mut out, aggs)?;
+                w.u8(TAG_REMAP);
+                w.u64(*round);
+                w.bytes(mapper)?;
+                w.string_list(aggs)?;
             }
             CtlMsg::Replay { round } => {
-                out.push(TAG_REPLAY);
-                out.extend_from_slice(&round.to_le_bytes());
+                w.u8(TAG_REPLAY);
+                w.u64(*round);
             }
             CtlMsg::Reopen { round } => {
-                out.push(TAG_REOPEN);
-                out.extend_from_slice(&round.to_le_bytes());
+                w.u8(TAG_REOPEN);
+                w.u64(*round);
             }
             CtlMsg::Topology { initiator, aggs } => {
-                out.push(TAG_TOPOLOGY);
-                put_bytes(&mut out, initiator.as_bytes())?;
-                put_strings(&mut out, aggs)?;
+                w.u8(TAG_TOPOLOGY);
+                w.string(initiator)?;
+                w.string_list(aggs)?;
             }
             CtlMsg::Deregister { party } => {
-                out.push(TAG_DEREGISTER);
-                put_bytes(&mut out, party.as_bytes())?;
+                w.u8(TAG_DEREGISTER);
+                w.string(party)?;
             }
         }
-        Ok(out)
+        Ok(w.into_bytes())
     }
 
     /// Parses a control frame.
@@ -436,7 +292,7 @@ impl CtlMsg {
     /// # Errors
     ///
     /// Fails on any malformed input; never panics.
-    pub fn decode(buf: &[u8]) -> Result<CtlMsg, CtlDecodeError> {
+    pub fn decode(buf: &[u8]) -> Result<CtlMsg, DecodeError> {
         let mut r = Reader::new(buf);
         let msg = match r.u8()? {
             TAG_READY => CtlMsg::Ready,
@@ -468,12 +324,8 @@ impl CtlMsg {
             },
             TAG_SHUTDOWN => CtlMsg::Shutdown,
             TAG_REBIND => {
-                let n = r.u32()? as usize;
                 // Each entry costs at least 12 bytes of fixed prefixes.
-                if r.pos + n.checked_mul(12).ok_or(CtlDecodeError)? > r.buf.len() {
-                    return Err(CtlDecodeError);
-                }
-                let rebinds = (0..n)
+                let rebinds = (0..r.count(12)?)
                     .map(|_| {
                         Ok(RebindEntry {
                             index: r.u32()?,
@@ -481,22 +333,22 @@ impl CtlMsg {
                             verifying_key: r.bytes()?,
                         })
                     })
-                    .collect::<Result<Vec<_>, CtlDecodeError>>()?;
+                    .collect::<Result<Vec<_>, DecodeError>>()?;
                 CtlMsg::Rebind { rebinds }
             }
             TAG_REMAP => CtlMsg::Remap {
                 round: r.u64()?,
                 mapper: r.bytes()?,
-                aggs: r.strings()?,
+                aggs: r.string_list()?,
             },
             TAG_REPLAY => CtlMsg::Replay { round: r.u64()? },
             TAG_REOPEN => CtlMsg::Reopen { round: r.u64()? },
             TAG_TOPOLOGY => CtlMsg::Topology {
                 initiator: r.string()?,
-                aggs: r.strings()?,
+                aggs: r.string_list()?,
             },
             TAG_DEREGISTER => CtlMsg::Deregister { party: r.string()? },
-            _ => return Err(CtlDecodeError),
+            _ => return Err(DecodeError),
         };
         r.finish()?;
         Ok(msg)

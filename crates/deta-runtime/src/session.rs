@@ -267,10 +267,13 @@ impl ThreadedSession {
         // idempotent).
         // The designated parameter reporter is the first party still in
         // the session — party 0 unless partial participation dropped it.
+        // Decided here, once per round: `drop_parties` reads it back from
+        // the round's progress.
         let reporter = self
             .party_names
             .iter()
-            .position(|n| !self.dropped_parties.contains(n));
+            .find(|n| !self.dropped_parties.contains(*n))
+            .cloned();
         for (i, name) in self.party_names.iter().enumerate() {
             if self.dropped_parties.contains(name) {
                 continue;
@@ -278,7 +281,7 @@ impl ThreadedSession {
             let plan = CtlMsg::RoundPlan {
                 round,
                 train: participants.contains(&i),
-                report_params: Some(i) == reporter,
+                report_params: Some(name) == reporter.as_ref(),
             };
             self.supervisor.send_ctl(name, &plan);
         }
@@ -287,7 +290,10 @@ impl ThreadedSession {
         // party's PartyDone, under the round deadline. A recoverable
         // failure runs a failover and re-enters the wait for whoever has
         // not finished yet.
-        let mut progress = RoundProgress::default();
+        let mut progress = RoundProgress {
+            reporter,
+            ..RoundProgress::default()
+        };
         loop {
             let Some(initiator) = self.agg_names.first().cloned() else {
                 return Err(self
@@ -571,20 +577,14 @@ impl ThreadedSession {
                 ),
             }));
         }
-        if progress.params.is_none() {
-            if let Some(rep) = self
-                .party_names
-                .iter()
-                .find(|n| !self.dropped_parties.contains(*n))
-            {
-                if lost.contains(rep) {
-                    return Err(self.supervisor.record_failure(RuntimeError::NodeFailed {
-                        node: rep.clone(),
-                        reason: "lost mid-round while designated to report the parameter \
-                                 snapshot; no survivor was planned to report it"
-                            .to_string(),
-                    }));
-                }
+        if let Some(rep) = progress.reporter.as_ref().filter(|r| lost.contains(r)) {
+            if progress.params.is_none() {
+                return Err(self.supervisor.record_failure(RuntimeError::NodeFailed {
+                    node: rep.clone(),
+                    reason: "lost mid-round while designated to report the parameter \
+                             snapshot; no survivor was planned to report it"
+                        .to_string(),
+                }));
             }
         }
         for party in &lost {
@@ -1106,6 +1106,9 @@ impl PendingSession {
 /// a healed wait doesn't forget who already finished.
 #[derive(Default)]
 struct RoundProgress {
+    /// The party this round's `RoundPlan` told to report its parameter
+    /// snapshot (`None` only if every party was dropped).
+    reporter: Option<String>,
     /// Nodes whose round obligation is fulfilled.
     done: HashSet<String>,
     losses: HashMap<String, f32>,

@@ -8,7 +8,11 @@
 //! authenticated peer re-sending a *re-sealed* copy of an old logical
 //! frame, or delivering frames out of order, is caught by the strict
 //! per-link window and rejected with an error naming the link.
+//!
+//! Frames are encoded with the workspace's one byte codec,
+//! [`deta_transport::wire`]; endpoint names carry a `u16` length prefix.
 
+use deta_transport::wire::{DecodeError, EncodeError, Reader, Writer};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -152,111 +156,38 @@ const TAG_TRACE_SHIP: u8 = 9;
 const TAG_RESUME: u8 = 10;
 const TAG_RESUME_ACK: u8 = 11;
 
-fn put_windows(out: &mut Vec<u8>, windows: &[(String, String, u64)]) {
-    // Link counts are bounded by the session roster squared; the clamp
-    // keeps the encoder total instead of panicking.
-    let len = u32::try_from(windows.len()).unwrap_or(u32::MAX);
-    out.extend_from_slice(&len.to_le_bytes());
-    for (src, dst, next) in windows.iter().take(len as usize) {
-        put_str(out, src);
-        put_str(out, dst);
-        out.extend_from_slice(&next.to_le_bytes());
+fn put_windows(w: &mut Writer, windows: &[(String, String, u64)]) -> Result<(), EncodeError> {
+    w.count(windows.len())?;
+    for (src, dst, next) in windows {
+        w.name(src)?;
+        w.name(dst)?;
+        w.u64(*next);
     }
+    Ok(())
 }
 
-fn read_windows(r: &mut Reader<'_>) -> Option<Vec<(String, String, u64)>> {
-    let len = r.u32()? as usize;
+fn read_windows(r: &mut Reader<'_>) -> Result<Vec<(String, String, u64)>, DecodeError> {
     // Each entry consumes at least 12 bytes (two length prefixes plus
-    // the counter); a length prefix that promises more entries than the
-    // buffer could hold is rejected before any allocation.
-    if len > r.remaining() / 12 {
-        return None;
-    }
-    let mut windows = Vec::with_capacity(len);
-    for _ in 0..len {
-        windows.push((r.str()?, r.str()?, r.u64()?));
-    }
-    Some(windows)
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    // Endpoint names are short; anything longer is clamped rather than
-    // silently truncated by a narrowing cast.
-    let len = u16::try_from(s.len()).unwrap_or(u16::MAX);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&s.as_bytes()[..usize::from(len)]);
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    // Payloads above 4 GiB cannot exist (MAX_FRAME is far smaller); the
-    // clamp keeps the encoder total instead of panicking.
-    let len = u32::try_from(b.len()).unwrap_or(u32::MAX);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&b[..len as usize]);
-}
-
-/// Bounds-checked sequential reader over an untrusted buffer.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(out)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        let b = self.take(2)?;
-        Some(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.take(4)?;
-        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Some(u64::from_le_bytes(a))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u16()? as usize;
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).ok()
-    }
-
-    fn bytes(&mut self) -> Option<Vec<u8>> {
-        let len = self.u32()? as usize;
-        self.take(len).map(<[u8]>::to_vec)
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
+    // the counter).
+    (0..r.count(12)?)
+        .map(|_| Ok((r.name()?, r.name()?, r.u64()?)))
+        .collect()
 }
 
 impl SocketFrame {
     /// Serializes the frame (the secure channel seals the result).
+    ///
+    /// A field too long for its prefix — an endpoint name of 64 KiB or
+    /// more, a payload of 4 GiB or more; neither exists, since names are
+    /// roster entries and frames are capped at `MAX_FRAME` — yields an
+    /// empty buffer, which [`SocketFrame::decode`] rejects, rather than
+    /// a truncated frame that would decode as a different one.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        self.try_encode().unwrap_or_default()
+    }
+
+    fn try_encode(&self) -> Result<Vec<u8>, EncodeError> {
+        let mut w = Writer::new();
         match self {
             SocketFrame::Data {
                 src,
@@ -264,83 +195,82 @@ impl SocketFrame {
                 seq,
                 payload,
             } => {
-                out.push(TAG_DATA);
-                put_str(&mut out, src);
-                put_str(&mut out, dst);
-                out.extend_from_slice(&seq.to_le_bytes());
-                put_bytes(&mut out, payload);
+                w.u8(TAG_DATA);
+                w.name(src)?;
+                w.name(dst)?;
+                w.u64(*seq);
+                w.bytes(payload)?;
             }
             SocketFrame::Close { name } => {
-                out.push(TAG_CLOSE);
-                put_str(&mut out, name);
+                w.u8(TAG_CLOSE);
+                w.name(name)?;
             }
             SocketFrame::Challenge { nonce } => {
-                out.push(TAG_CHALLENGE);
-                out.extend_from_slice(nonce);
+                w.u8(TAG_CHALLENGE);
+                w.raw(nonce);
             }
             SocketFrame::AuthProof { name, sig } => {
-                out.push(TAG_AUTH_PROOF);
-                put_str(&mut out, name);
-                put_bytes(&mut out, sig);
+                w.u8(TAG_AUTH_PROOF);
+                w.name(name)?;
+                w.bytes(sig)?;
             }
-            SocketFrame::Welcome => out.push(TAG_WELCOME),
-            SocketFrame::Bye => out.push(TAG_BYE),
+            SocketFrame::Welcome => w.u8(TAG_WELCOME),
+            SocketFrame::Bye => w.u8(TAG_BYE),
             SocketFrame::ClockProbe { t_hub_ns } => {
-                out.push(TAG_CLOCK_PROBE);
-                out.extend_from_slice(&t_hub_ns.to_le_bytes());
+                w.u8(TAG_CLOCK_PROBE);
+                w.u64(*t_hub_ns);
             }
             SocketFrame::ClockEcho {
                 t_hub_ns,
                 t_peer_ns,
             } => {
-                out.push(TAG_CLOCK_ECHO);
-                out.extend_from_slice(&t_hub_ns.to_le_bytes());
-                out.extend_from_slice(&t_peer_ns.to_le_bytes());
+                w.u8(TAG_CLOCK_ECHO);
+                w.u64(*t_hub_ns);
+                w.u64(*t_peer_ns);
             }
             SocketFrame::TraceShip {
                 name,
                 dropped,
                 jsonl,
             } => {
-                out.push(TAG_TRACE_SHIP);
-                put_str(&mut out, name);
-                out.extend_from_slice(&dropped.to_le_bytes());
-                put_bytes(&mut out, jsonl);
+                w.u8(TAG_TRACE_SHIP);
+                w.name(name)?;
+                w.u64(*dropped);
+                w.bytes(jsonl)?;
             }
             SocketFrame::Resume { src, windows } => {
-                out.push(TAG_RESUME);
-                put_str(&mut out, src);
-                put_windows(&mut out, windows);
+                w.u8(TAG_RESUME);
+                w.name(src)?;
+                put_windows(&mut w, windows)?;
             }
             SocketFrame::ResumeAck { windows } => {
-                out.push(TAG_RESUME_ACK);
-                put_windows(&mut out, windows);
+                w.u8(TAG_RESUME_ACK);
+                put_windows(&mut w, windows)?;
             }
         }
-        out
+        Ok(w.into_bytes())
     }
 
     /// Parses a frame; `None` on any malformed input (truncated,
     /// trailing bytes, unknown tag, invalid UTF-8). Total — never
     /// panics.
     pub fn decode(buf: &[u8]) -> Option<SocketFrame> {
-        let mut r = Reader { buf, pos: 0 };
+        Self::try_decode(buf).ok()
+    }
+
+    fn try_decode(buf: &[u8]) -> Result<SocketFrame, DecodeError> {
+        let mut r = Reader::new(buf);
         let frame = match r.u8()? {
             TAG_DATA => SocketFrame::Data {
-                src: r.str()?,
-                dst: r.str()?,
+                src: r.name()?,
+                dst: r.name()?,
                 seq: r.u64()?,
                 payload: r.bytes()?,
             },
-            TAG_CLOSE => SocketFrame::Close { name: r.str()? },
-            TAG_CHALLENGE => {
-                let b = r.take(32)?;
-                let mut nonce = [0u8; 32];
-                nonce.copy_from_slice(b);
-                SocketFrame::Challenge { nonce }
-            }
+            TAG_CLOSE => SocketFrame::Close { name: r.name()? },
+            TAG_CHALLENGE => SocketFrame::Challenge { nonce: r.array()? },
             TAG_AUTH_PROOF => SocketFrame::AuthProof {
-                name: r.str()?,
+                name: r.name()?,
                 sig: r.bytes()?,
             },
             TAG_WELCOME => SocketFrame::Welcome,
@@ -351,24 +281,21 @@ impl SocketFrame {
                 t_peer_ns: r.u64()?,
             },
             TAG_TRACE_SHIP => SocketFrame::TraceShip {
-                name: r.str()?,
+                name: r.name()?,
                 dropped: r.u64()?,
                 jsonl: r.bytes()?,
             },
             TAG_RESUME => SocketFrame::Resume {
-                src: r.str()?,
+                src: r.name()?,
                 windows: read_windows(&mut r)?,
             },
             TAG_RESUME_ACK => SocketFrame::ResumeAck {
                 windows: read_windows(&mut r)?,
             },
-            _ => return None,
+            _ => return Err(DecodeError),
         };
-        if r.done() {
-            Some(frame)
-        } else {
-            None
-        }
+        r.finish()?;
+        Ok(frame)
     }
 }
 

@@ -176,4 +176,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> code size (non-test lines per crate)"
+# Informational, never gating: keeps the code-size trend visible on
+# every gate run (see scripts/loc.sh for what is counted).
+./scripts/loc.sh
+
 echo "==> all checks passed"
