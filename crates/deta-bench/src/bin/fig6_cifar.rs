@@ -11,28 +11,11 @@
 //! cargo run --release -p deta-bench --bin fig6_cifar [-- --rounds 30]
 //! ```
 
-use deta_bench::{overhead, write_csv, Args};
+use deta_bench::{overhead, print_series, write_csv, Args, SERIES_CSV_HEADER};
 use deta_core::baseline::run_ffl;
-use deta_core::{DetaConfig, DetaSession, RoundMetrics};
+use deta_core::{DetaConfig, DetaSession};
 use deta_datasets::{iid_partition, DatasetSpec};
 use deta_nn::models::convnet23;
-
-fn print_series(tag: &str, metrics: &[RoundMetrics], rows: &mut Vec<String>) {
-    for m in metrics {
-        println!(
-            "{tag:<12} round {:2}  loss {:.4}  acc {:5.1}%  latency {:7.3}s  cum {:8.3}s",
-            m.round,
-            m.test_loss,
-            m.test_accuracy * 100.0,
-            m.round_latency_s,
-            m.cumulative_latency_s
-        );
-        rows.push(format!(
-            "{tag},{},{:.6},{:.6},{:.6},{:.6}",
-            m.round, m.test_loss, m.test_accuracy, m.round_latency_s, m.cumulative_latency_s
-        ));
-    }
-}
 
 fn main() {
     let args = Args::parse();
@@ -58,10 +41,10 @@ fn main() {
         let mut session =
             DetaSession::setup(cfg.clone(), &builder, shards.clone()).expect("DeTA session setup");
         let deta_metrics = session.run(&test);
-        print_series(&format!("DETA-{n_parties}P"), &deta_metrics, &mut rows);
+        print_series(&format!("DETA-{n_parties}P"), 12, &deta_metrics, &mut rows);
 
         let ffl_metrics = run_ffl(cfg, &builder, shards, &test).expect("FFL baseline");
-        print_series(&format!("FFL-{n_parties}P"), &ffl_metrics, &mut rows);
+        print_series(&format!("FFL-{n_parties}P"), 12, &ffl_metrics, &mut rows);
 
         let d = deta_metrics.last().unwrap().cumulative_latency_s;
         let f = ffl_metrics.last().unwrap().cumulative_latency_s;
@@ -77,9 +60,5 @@ fn main() {
             ffl_metrics.last().unwrap().test_accuracy * 100.0
         );
     }
-    write_csv(
-        "fig6_cifar.csv",
-        "series,round,test_loss,test_accuracy,round_latency_s,cumulative_latency_s",
-        &rows,
-    );
+    write_csv("fig6_cifar.csv", SERIES_CSV_HEADER, &rows);
 }

@@ -12,28 +12,11 @@
 //! cargo run --release -p deta-bench --bin fig7_rvlcdip
 //! ```
 
-use deta_bench::{overhead, write_csv, Args};
+use deta_bench::{overhead, print_series, write_csv, Args, SERIES_CSV_HEADER};
 use deta_core::baseline::run_ffl;
-use deta_core::{DetaConfig, DetaSession, RoundMetrics};
+use deta_core::{DetaConfig, DetaSession};
 use deta_datasets::{noniid_skew_partition, DatasetSpec};
 use deta_nn::models::vgg_lite;
-
-fn print_series(tag: &str, metrics: &[RoundMetrics], rows: &mut Vec<String>) {
-    for m in metrics {
-        println!(
-            "{tag:<16} round {:2}  loss {:.4}  acc {:5.1}%  latency {:7.3}s  cum {:8.3}s",
-            m.round,
-            m.test_loss,
-            m.test_accuracy * 100.0,
-            m.round_latency_s,
-            m.cumulative_latency_s
-        );
-        rows.push(format!(
-            "{tag},{},{:.6},{:.6},{:.6},{:.6}",
-            m.round, m.test_loss, m.test_accuracy, m.round_latency_s, m.cumulative_latency_s
-        ));
-    }
-}
 
 fn main() {
     let args = Args::parse();
@@ -73,10 +56,10 @@ fn main() {
     let mut session =
         DetaSession::setup(cfg.clone(), &builder, shards.clone()).expect("DeTA session setup");
     let deta_metrics = session.run(&test);
-    print_series("DETA", &deta_metrics, &mut rows);
+    print_series("DETA", 16, &deta_metrics, &mut rows);
 
     let ffl_metrics = run_ffl(cfg, &builder, shards, &test).expect("FFL baseline");
-    print_series("Simulated-FFL", &ffl_metrics, &mut rows);
+    print_series("Simulated-FFL", 16, &ffl_metrics, &mut rows);
 
     let d = deta_metrics.last().unwrap().cumulative_latency_s;
     let f = ffl_metrics.last().unwrap().cumulative_latency_s;
@@ -89,9 +72,5 @@ fn main() {
         deta_metrics.last().unwrap().test_accuracy * 100.0,
         ffl_metrics.last().unwrap().test_accuracy * 100.0
     );
-    write_csv(
-        "fig7_rvlcdip.csv",
-        "series,round,test_loss,test_accuracy,round_latency_s,cumulative_latency_s",
-        &rows,
-    );
+    write_csv("fig7_rvlcdip.csv", SERIES_CSV_HEADER, &rows);
 }

@@ -16,6 +16,7 @@
 
 pub mod timing;
 
+use deta_core::RoundMetrics;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -76,6 +77,30 @@ pub fn bench_output_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("deta-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create bench output dir");
     dir
+}
+
+/// Header of the per-round series CSVs the figure binaries write (one
+/// row per [`print_series`] round).
+pub const SERIES_CSV_HEADER: &str =
+    "series,round,test_loss,test_accuracy,round_latency_s,cumulative_latency_s";
+
+/// Prints one line per round of a figure series, its tag padded to
+/// `width`, and appends the matching [`SERIES_CSV_HEADER`] rows.
+pub fn print_series(tag: &str, width: usize, metrics: &[RoundMetrics], rows: &mut Vec<String>) {
+    for m in metrics {
+        println!(
+            "{tag:<width$} round {:2}  loss {:.4}  acc {:5.1}%  latency {:7.3}s  cum {:8.3}s",
+            m.round,
+            m.test_loss,
+            m.test_accuracy * 100.0,
+            m.round_latency_s,
+            m.cumulative_latency_s
+        );
+        rows.push(format!(
+            "{tag},{},{:.6},{:.6},{:.6},{:.6}",
+            m.round, m.test_loss, m.test_accuracy, m.round_latency_s, m.cumulative_latency_s
+        ));
+    }
 }
 
 /// Writes rows as CSV under `results/`.

@@ -302,18 +302,6 @@ impl AggregatorNode {
         handled
     }
 
-    /// Blocks up to `timeout` for the next message, then drains the
-    /// queue. The service loop for a threaded deployment.
-    pub fn pump_blocking(&mut self, timeout: std::time::Duration) -> usize {
-        match self.endpoint.recv_timeout(timeout) {
-            Err(_) => 0,
-            Ok(msg) => {
-                self.handle_wire(&msg.from, &msg.payload);
-                1 + self.pump()
-            }
-        }
-    }
-
     /// Adversarial-drill hook: sends an arbitrary protocol message to a
     /// registered party over this node's established secure channel —
     /// what a *compromised* aggregator (the paper's threat model) can do
@@ -366,15 +354,14 @@ impl AggregatorNode {
                 };
                 self.handle_inner(from, inner);
             }
-            Msg::SyncRound { round, training_id } => {
-                // On a follower the training id is opaque (the permutation
-                // key never reaches aggregators) and there is nothing to
-                // do until uploads arrive. On the initiator this message
-                // is the operator's round trigger: fan it out.
+            Msg::SyncRound { round, .. } => {
+                // The training id is opaque here (the permutation key
+                // never reaches aggregators) and there is nothing to do
+                // until uploads arrive. Rounds start only from the
+                // session driver's `begin_round` call, never from a
+                // peer's message: parties derive the round's shuffle
+                // from the id, so no sender may choose it.
                 deta_telemetry::event("round_sync", &[("round", TelemetryValue::from(round))]);
-                if matches!(self.role, AggRole::Initiator { .. }) {
-                    let _ = self.begin_round(round, training_id);
-                }
             }
             Msg::SyncDone { round } => {
                 *self.sync_done.entry(round).or_insert(0) += 1;

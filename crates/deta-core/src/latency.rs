@@ -132,11 +132,9 @@ impl LatencyModel {
         // Parties upload k fragments; fragment transfers to distinct
         // aggregators proceed in parallel, but each party's uplink is
         // shared, so bytes serialize while per-message base latency
-        // overlaps: time = base + total_bytes / bandwidth.
-        let upload_s =
-            self.link.base_s + inputs.upload_bytes_per_party as f64 / self.link.bytes_per_s;
-        let download_s =
-            self.link.base_s + inputs.download_bytes_per_party as f64 / self.link.bytes_per_s;
+        // overlaps: one transfer of the party's total bytes.
+        let upload_s = self.link.transfer_time(inputs.upload_bytes_per_party);
+        let download_s = self.link.transfer_time(inputs.download_bytes_per_party);
         RoundLatency {
             train_s: inputs.max_party_train_s,
             transform_s: inputs.max_party_transform_s,

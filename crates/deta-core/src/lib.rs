@@ -27,6 +27,8 @@
 //!   (Phase II) and open TLS-like secure channels for all model traffic.
 //! * [`keybroker`] — the trusted key broker dispatching permutation keys
 //!   and per-round training identifiers.
+//! * [`round`] — the one round plan (who trains, who reports) and round
+//!   ledger (bytes, timers, latency) every session driver shares.
 //! * [`session`] — end-to-end orchestration of the DeTA training life
 //!   cycle, and [`baseline`] — the single-central-aggregator "FFL"
 //!   baseline used for every comparison in the paper's evaluation.
@@ -36,7 +38,6 @@
 pub mod agg;
 pub mod aggregator;
 pub mod baseline;
-pub mod cluster;
 pub mod dp;
 pub mod keybroker;
 pub mod latency;
@@ -45,6 +46,7 @@ pub mod paillier_fusion;
 pub mod party;
 pub mod proxy;
 pub mod recovery;
+pub mod round;
 pub mod session;
 pub mod shuffle;
 pub mod transform;

@@ -17,12 +17,13 @@ use crate::agg::AggKind;
 use crate::aggregator::{AggError, AggRole, AggregatorNode};
 use crate::dp::LdpConfig;
 use crate::keybroker::KeyBroker;
-use crate::latency::{LatencyModel, RoundInputs, RoundLatency};
+use crate::latency::RoundLatency;
 use crate::mapper::ModelMapper;
 use crate::paillier_fusion::{PaillierFusion, PaillierFusionConfig};
-use crate::party::{Party, PartyConfig, PartyError, PartyTimers};
+use crate::party::{Party, PartyConfig, PartyError};
 use crate::proxy::AttestationProxy;
 use crate::recovery::RecoveryKit;
+use crate::round::{NodeTimers, RoundLedger, RoundPlan};
 use crate::transform::{TransformConfig, Transformer};
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::LabeledData;
@@ -167,27 +168,6 @@ pub fn fingerprint(metrics: &[RoundMetrics]) -> Fingerprint {
 /// `Send + Sync` so thread-hosted nodes can share one builder.
 pub type ModelBuilder = dyn Fn(&mut DetRng) -> Sequential + Send + Sync;
 
-/// The parties that train in `round` under partial participation: a
-/// quorum of `cfg.participation` drawn from `pool` by a seeded shuffle
-/// (the whole pool when no quorum is set or the pool is no larger).
-/// Both drivers call this, which keeps their selections identical.
-///
-/// The pool is the caller's choice. The sequential [`DetaSession`]
-/// passes its online parties: `drop_party` is an explicit call at a
-/// round boundary, so the pool is deterministic. The threaded runtime
-/// passes every party index, dropped or not: a drop there follows a
-/// lost link, whose timing must not move which parties train.
-pub fn select_participants(cfg: &DetaConfig, round: u64, mut pool: Vec<usize>) -> HashSet<usize> {
-    match cfg.participation {
-        Some(q) if q < pool.len() => {
-            let mut rng = DetRng::from_u64(cfg.seed).fork_indexed(b"participation", round);
-            rng.shuffle(&mut pool);
-            pool.into_iter().take(q).collect()
-        }
-        _ => pool.into_iter().collect(),
-    }
-}
-
 /// Errors during session setup.
 #[derive(Debug)]
 pub enum SetupError {
@@ -252,8 +232,6 @@ pub struct SessionParts {
     pub aggregators: Vec<AggregatorNode>,
     /// The key broker (per-round training ids).
     pub broker: KeyBroker,
-    /// The latency model matching `cc_protected`.
-    pub latency_model: LatencyModel,
     /// Token verifying keys published by the attestation proxy, keyed by
     /// aggregator name; parties need these to run Phase II.
     pub tokens: HashMap<String, VerifyingKey>,
@@ -318,7 +296,7 @@ impl SessionParts {
         let image = GuestImage::new(b"deta-ovmf-v1".to_vec(), b"deta-aggregator-v1".to_vec());
         let mut proxy =
             AttestationProxy::new(ras.root_certs(), image.clone(), sev_rng.fork(b"proxy"));
-        let network = Network::new(config.link);
+        let network = Network::new();
         let mut aggregators = Vec::with_capacity(config.n_aggregators);
         let mut tokens: HashMap<String, VerifyingKey> = HashMap::new();
         let agg_names: Vec<String> = (0..config.n_aggregators)
@@ -411,11 +389,6 @@ impl SessionParts {
             parties.push(party);
         }
 
-        let latency_model = if config.cc_protected {
-            LatencyModel::deta_default(config.link)
-        } else {
-            LatencyModel::ffl_default(config.link)
-        };
         let recovery = RecoveryKit::new(
             ras,
             image,
@@ -431,7 +404,6 @@ impl SessionParts {
             parties,
             aggregators,
             broker,
-            latency_model,
             tokens,
             eval_model: template,
             transformer,
@@ -448,11 +420,8 @@ pub struct DetaSession {
     parties: Vec<Party>,
     aggregators: Vec<AggregatorNode>,
     broker: KeyBroker,
-    latency_model: LatencyModel,
+    ledger: RoundLedger,
     next_round: u64,
-    cumulative_latency_s: f64,
-    prev_party_timers: Vec<PartyTimers>,
-    prev_agg_times: Vec<f64>,
     offline: HashSet<usize>,
 }
 
@@ -478,7 +447,6 @@ impl DetaSession {
             mut parties,
             mut aggregators,
             broker,
-            latency_model,
             tokens,
             eval_model: _,
             transformer: _,
@@ -506,19 +474,14 @@ impl DetaSession {
             }
         }
 
-        let n_parties = parties.len();
-        let n_aggs = aggregators.len();
         Ok(DetaSession {
+            ledger: RoundLedger::new(&config),
             config,
             network,
             parties,
             aggregators,
             broker,
-            latency_model,
             next_round: 1,
-            cumulative_latency_s: 0.0,
-            prev_party_timers: vec![PartyTimers::default(); n_parties],
-            prev_agg_times: vec![0.0; n_aggs],
             offline: HashSet::new(),
         })
     }
@@ -550,16 +513,30 @@ impl DetaSession {
         self.parties.len() - self.offline.len()
     }
 
-    /// Runs one training round, returning the latency inputs measured.
+    /// Runs all configured rounds, evaluating on `test` after each.
+    pub fn run(&mut self, test: &LabeledData) -> Vec<RoundMetrics> {
+        let rounds = self.config.rounds;
+        let mut out = Vec::with_capacity(rounds);
+        for _ in 0..rounds {
+            out.push(self.step(test));
+        }
+        out
+    }
+
+    /// Runs a single round and evaluates.
     ///
     /// # Panics
     ///
     /// Panics on protocol desynchronization (a bug, not an input error).
-    fn run_round(&mut self) -> (f32, RoundInputs, u64, u64) {
+    pub fn step(&mut self, test: &LabeledData) -> RoundMetrics {
         let round = self.next_round;
         self.next_round += 1;
         let tid = self.broker.training_id(round);
-        self.network.reset_stats();
+        let online: Vec<usize> = (0..self.parties.len())
+            .filter(|i| !self.offline.contains(i))
+            .collect();
+        let plan = RoundPlan::for_round(&self.config, round, online.clone(), &online);
+        self.ledger.open(round, &self.network);
 
         // Initiator announces the round to followers and parties.
         self.aggregators[0]
@@ -568,30 +545,20 @@ impl DetaSession {
         for a in &mut self.aggregators {
             a.pump();
         }
-        let s0 = self.network.stats();
 
-        // Select this round's participants (partial participation).
-        let offline = self.offline.clone();
-        let online: Vec<usize> = (0..self.parties.len())
-            .filter(|i| !offline.contains(i))
-            .collect();
-        let participants = select_participants(&self.config, round, online);
-        // Participants train and upload; the rest only synchronize.
-        let mut train_loss_sum = 0.0f32;
-        for (i, p) in self.parties.iter_mut().enumerate() {
-            if offline.contains(&i) {
-                continue;
-            }
+        // Trainers train and upload; the rest only synchronize.
+        let mut losses = Vec::with_capacity(plan.trainers.len());
+        for &i in &online {
+            let p = &mut self.parties[i];
             let started = p.poll_round_start();
             assert!(started.is_some(), "party missed round start");
-            if participants.contains(&i) {
+            if plan.trains(i) {
                 p.run_local_round().expect("party runs announced round");
-                train_loss_sum += p.last_train_loss;
+                losses.push(p.last_train_loss);
             } else {
                 p.skip_local_round().expect("party skips announced round");
             }
         }
-        let s1 = self.network.stats();
 
         // Aggregators aggregate and dispatch; loop until all complete.
         loop {
@@ -605,86 +572,31 @@ impl DetaSession {
             }
             assert!(progress > 0, "aggregation deadlock at round {round}");
         }
-        let s2 = self.network.stats();
 
         // Parties merge and synchronize.
-        for (i, p) in self.parties.iter_mut().enumerate() {
-            if offline.contains(&i) {
-                continue;
-            }
+        for &i in &online {
+            let p = &mut self.parties[i];
             assert!(p.try_finish_round(), "party could not finish round {round}");
         }
         // Initiator absorbs follower completion acks.
         self.aggregators[0].pump();
 
-        // Latency inputs from measured deltas.
-        let mut max_train = 0.0f64;
-        let mut max_transform = 0.0f64;
-        let mut max_crypto = 0.0f64;
-        for (p, prev) in self.parties.iter().zip(self.prev_party_timers.iter_mut()) {
-            // Offline parties contribute zero deltas automatically.
-            max_train = max_train.max(p.timers.train_s - prev.train_s);
-            max_transform = max_transform.max(p.timers.transform_s - prev.transform_s);
-            max_crypto = max_crypto.max(p.timers.crypto_s - prev.crypto_s);
-            *prev = p.timers;
-        }
-        let mut max_agg = 0.0f64;
-        for (a, prev) in self.aggregators.iter().zip(self.prev_agg_times.iter_mut()) {
-            max_agg = max_agg.max(a.aggregate_time_s - *prev);
-            *prev = a.aggregate_time_s;
-        }
-        let upload_total = s1.bytes - s0.bytes;
-        let download_total = s2.bytes - s1.bytes;
-        let online = (self.parties.len() - offline.len()) as u64;
-        let inputs = RoundInputs {
-            max_party_train_s: max_train,
-            max_party_transform_s: max_transform,
-            max_party_crypto_s: max_crypto,
-            upload_bytes_per_party: upload_total / online,
-            download_bytes_per_party: download_total / online,
-            max_aggregate_s: max_agg,
-            n_aggregators: self.aggregators.len(),
+        let reporter = plan.reporter.expect("at least one online party");
+        let eval = self.parties[reporter].evaluate(test, 128);
+        let timers = NodeTimers {
+            parties: self
+                .parties
+                .iter()
+                .map(|p| (p.name.clone(), p.timers))
+                .collect(),
+            aggregators: self
+                .aggregators
+                .iter()
+                .map(|a| (a.name.clone(), a.aggregate_time_s))
+                .collect(),
         };
-        (
-            train_loss_sum / participants.len() as f32,
-            inputs,
-            upload_total,
-            download_total,
-        )
-    }
-
-    /// Runs all configured rounds, evaluating on `test` after each.
-    pub fn run(&mut self, test: &LabeledData) -> Vec<RoundMetrics> {
-        let rounds = self.config.rounds;
-        let mut out = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
-            out.push(self.step(test));
-        }
-        out
-    }
-
-    /// Runs a single round and evaluates.
-    pub fn step(&mut self, test: &LabeledData) -> RoundMetrics {
-        let round = self.next_round;
-        let (train_loss, inputs, up, down) = self.run_round();
-        let latency = self.latency_model.round(&inputs);
-        let round_latency_s = latency.total();
-        self.cumulative_latency_s += round_latency_s;
-        let eval_idx = (0..self.parties.len())
-            .find(|i| !self.offline.contains(i))
-            .expect("at least one online party");
-        let (test_loss, test_accuracy) = self.parties[eval_idx].evaluate(test, 128);
-        RoundMetrics {
-            round,
-            train_loss,
-            test_loss,
-            test_accuracy,
-            latency,
-            round_latency_s,
-            cumulative_latency_s: self.cumulative_latency_s,
-            upload_bytes: up,
-            download_bytes: down,
-        }
+        self.ledger
+            .close(&self.network, &timers, &losses, online.len(), eval)
     }
 
     /// Number of completed rounds.

@@ -15,7 +15,7 @@ use deta_datasets::DatasetSpec;
 use deta_nn::models::mlp;
 use deta_sev_sim::{AmdRas, GuestImage, Platform, SealedSecret, SevError};
 use deta_transport::secure::{respond, HandshakeInitiator, TransportError};
-use deta_transport::{LinkModel, Network};
+use deta_transport::Network;
 use std::collections::HashMap;
 
 /// The reference aggregator image the proxy attests against.
@@ -121,7 +121,7 @@ fn forged_token() -> Result<String, String> {
         .map_err(|e| format!("injecting the forged token failed: {e}"))?;
     let rogue_cvm = ctx.finish();
 
-    let net = Network::new(LinkModel::lan());
+    let net = Network::new();
     let mut rogue = AggregatorNode::new(
         "agg-0",
         rogue_cvm,

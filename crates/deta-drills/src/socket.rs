@@ -15,7 +15,7 @@ use deta_socket::{
     SocketFrame, SocketHub,
 };
 use deta_transport::secure::{HandshakeInitiator, SecureChannel};
-use deta_transport::{Endpoint, LinkModel, Network, RecvError};
+use deta_transport::{Endpoint, Network, RecvError};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -27,7 +27,7 @@ const SEED: u64 = 0xD0D0;
 /// Returns the hub, its network, the `agg-0` endpoint and `party-0`'s
 /// link key.
 pub fn start_hub(seed: u64) -> (SocketHub, Network, Endpoint, SigningKey) {
-    let network = Network::new(LinkModel::lan());
+    let network = Network::new();
     let agg = network.register("agg-0");
     let link = party_link_key(seed, "party-0");
     let seats = vec![HubSeat {
@@ -352,7 +352,7 @@ fn resume_replay() -> Result<String, String> {
 fn rogue_aggregator() -> Result<String, String> {
     // The agg-1 seat is keyed by its attested token identity, which the
     // rogue does not hold.
-    let network = Network::new(LinkModel::lan());
+    let network = Network::new();
     let rng = DetRng::from_u64(SEED);
     let attested = SigningKey::generate(&mut rng.fork(b"agg-1-identity"));
     let seats = vec![HubSeat {

@@ -6,12 +6,10 @@
 //! byte-identical nodes; from there every numeric path is driven by
 //! per-node state (independent RNG forks, name-sorted aggregation),
 //! which is what makes the final model parameters bit-identical
-//! regardless of thread scheduling. Byte accounting is exact: the
-//! transport keeps a monotonic per-link delivered-byte counter
-//! ([`Network::link_bytes`]), and each round's upload (party→aggregator)
-//! and download (aggregator→party) totals are window deltas over those
-//! links — control-plane and inter-aggregator traffic never enters
-//! either figure (DESIGN.md §7).
+//! regardless of thread scheduling. Who trains and reports in a round
+//! comes from `deta_core::round::RoundPlan`, and every round is billed
+//! by `deta_core::round::RoundLedger`, the same code the sequential
+//! session runs (DESIGN.md §7).
 
 use crate::actor::NodeExit;
 use crate::rtmsg::{CtlMsg, RebindEntry};
@@ -20,18 +18,18 @@ use crate::{FailoverPolicy, Phase, RuntimeConfig, RuntimeError};
 use deta_core::agg::AggKind;
 use deta_core::aggregator::{AggRole, AggregatorNode};
 use deta_core::keybroker::KeyBroker;
-use deta_core::latency::{LatencyModel, RoundInputs};
 use deta_core::mapper::ModelMapper;
-use deta_core::party::Party;
+use deta_core::party::{Party, PartyTimers};
 use deta_core::recovery::RecoveryKit;
-use deta_core::session::{select_participants, DetaConfig, RoundMetrics, SessionParts};
+use deta_core::round::{NodeTimers, RoundLedger, RoundPlan};
+use deta_core::session::{DetaConfig, RoundMetrics, SessionParts};
 use deta_core::transform::Transformer;
 use deta_crypto::{DetRng, VerifyingKey};
 use deta_nn::train::LabeledData;
 use deta_nn::Sequential;
 use deta_telemetry::TelemetryValue;
 use deta_transport::Network;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// The minimal per-round state a failover replays from (DESIGN.md §12).
@@ -78,7 +76,7 @@ pub struct ThreadedSession {
     network: Network,
     broker: KeyBroker,
     transformer: Transformer,
-    latency_model: LatencyModel,
+    ledger: RoundLedger,
     eval_model: Sequential,
     supervisor: Supervisor,
     party_names: Vec<String>,
@@ -88,9 +86,6 @@ pub struct ThreadedSession {
     /// alongside their replacements' fresh ones.
     tokens: HashMap<String, VerifyingKey>,
     next_round: u64,
-    cumulative_latency_s: f64,
-    prev_party_timers: HashMap<String, (f64, f64, f64)>,
-    prev_agg_times: HashMap<String, f64>,
     recovery: RecoveryKit,
     checkpoint: Option<RoundCheckpoint>,
     epochs: Vec<MapperEpoch>,
@@ -250,50 +245,46 @@ impl ThreadedSession {
         self.supervisor
             .note("round_begin", &[("round", TelemetryValue::from(round))]);
 
-        // This round's participants, drawn from every party index (see
-        // `select_participants` for why dropped parties stay in the pool).
-        let participants = select_participants(&self.config, round, (0..n).collect());
-
-        // Byte attribution window: per-link delivered-byte counters are
-        // snapshotted around the round, so the upload/download figures
-        // are exact sums over party↔aggregator links (control-plane and
-        // inter-aggregator traffic rides other links).
-        let links0 = self.network.link_bytes();
+        // This round's plan: the quorum is drawn from every party index
+        // (see `RoundPlan::for_round` for why dropped parties stay in the
+        // pool). Decided here, once per round: `drop_parties` reads the
+        // reporter back from the round's progress.
+        let present: Vec<usize> = (0..n)
+            .filter(|&i| !self.dropped_parties.contains(&self.party_names[i]))
+            .collect();
+        let plan = RoundPlan::for_round(&self.config, round, (0..n).collect(), &present);
+        let reporter = plan.reporter.map(|i| self.party_names[i].clone());
+        self.ledger.open(round, &self.network);
 
         // Marching orders to every party (sent once — a failover
         // re-enters the completion wait without re-planning, so no party
         // can be told to train the same round twice), then the round
         // trigger to the initiator (retried with capped backoff —
         // idempotent).
-        // The designated parameter reporter is the first party still in
-        // the session — party 0 unless partial participation dropped it.
-        // Decided here, once per round: `drop_parties` reads it back from
-        // the round's progress.
-        let reporter = self
-            .party_names
-            .iter()
-            .find(|n| !self.dropped_parties.contains(*n))
-            .cloned();
-        for (i, name) in self.party_names.iter().enumerate() {
-            if self.dropped_parties.contains(name) {
-                continue;
-            }
-            let plan = CtlMsg::RoundPlan {
+        for &i in &present {
+            let msg = CtlMsg::RoundPlan {
                 round,
-                train: participants.contains(&i),
-                report_params: Some(name) == reporter.as_ref(),
+                train: plan.trains(i),
+                report_params: plan.reporter == Some(i),
             };
-            self.supervisor.send_ctl(name, &plan);
+            self.supervisor.send_ctl(&self.party_names[i], &msg);
         }
 
         // Collect completions: every aggregator's AggDone and every
         // party's PartyDone, under the round deadline. A recoverable
         // failure runs a failover and re-enters the wait for whoever has
-        // not finished yet.
+        // not finished yet. Every party is billed, a dropped or silent
+        // one with zero timers.
         let mut progress = RoundProgress {
             reporter,
             ..RoundProgress::default()
         };
+        for p in &self.party_names {
+            progress
+                .timers
+                .parties
+                .insert(p.clone(), PartyTimers::default());
+        }
         loop {
             let Some(initiator) = self.agg_names.first().cloned() else {
                 return Err(self
@@ -329,63 +320,6 @@ impl ThreadedSession {
             }
         }
 
-        // Byte attribution: exact window deltas over the per-link
-        // counters. Uploads are party→aggregator deliveries, downloads
-        // aggregator→party; everything else (control plane, follower
-        // sync) is on disjoint links and never counted.
-        let links1 = self.network.link_bytes();
-        let upload_total = link_window(&links0, &links1, &self.party_names, &self.agg_names);
-        let download_total = link_window(&links0, &links1, &self.agg_names, &self.party_names);
-
-        // Latency inputs from per-node cumulative timer deltas.
-        let k = self.agg_names.len();
-        let mut max_train = 0.0f64;
-        let mut max_transform = 0.0f64;
-        let mut max_crypto = 0.0f64;
-        for name in &self.party_names {
-            let cum = progress.party_cum.get(name).copied().unwrap_or_default();
-            let prev = self
-                .prev_party_timers
-                .get(name)
-                .copied()
-                .unwrap_or_default();
-            max_train = max_train.max(cum.0 - prev.0);
-            max_transform = max_transform.max(cum.1 - prev.1);
-            max_crypto = max_crypto.max(cum.2 - prev.2);
-            self.prev_party_timers.insert(name.clone(), cum);
-        }
-        let mut max_agg = 0.0f64;
-        for name in &self.agg_names {
-            let cum = progress.agg_cum.get(name).copied().unwrap_or_default();
-            let prev = self.prev_agg_times.get(name).copied().unwrap_or_default();
-            max_agg = max_agg.max(cum - prev);
-            self.prev_agg_times.insert(name.clone(), cum);
-        }
-        // Mean training loss, summed in party-index order so the float
-        // reduction matches the sequential session bit for bit.
-        let mut train_loss_sum = 0.0f32;
-        for name in &self.party_names {
-            if let Some(l) = progress.losses.get(name) {
-                train_loss_sum += *l;
-            }
-        }
-        // Per-party figures average over the parties still in the
-        // session; the quorum floor keeps this nonzero, but divide
-        // defensively anyway.
-        let active = (n - self.dropped_parties.len()).max(1);
-        let inputs = RoundInputs {
-            max_party_train_s: max_train,
-            max_party_transform_s: max_transform,
-            max_party_crypto_s: max_crypto,
-            upload_bytes_per_party: upload_total / active as u64,
-            download_bytes_per_party: download_total / active as u64,
-            max_aggregate_s: max_agg,
-            n_aggregators: k,
-        };
-        let latency = self.latency_model.round(&inputs);
-        let round_latency_s = latency.total();
-        self.cumulative_latency_s += round_latency_s;
-
         // Evaluate on the supervisor's replica of the (synchronized,
         // therefore identical) party model.
         let Some(params) = progress.params else {
@@ -408,33 +342,26 @@ impl ThreadedSession {
         // Driver-side work is on the round's blocking path too; span it
         // so critical-path reports name it instead of charging it to
         // idle.
-        let (test_loss, test_accuracy) = {
+        let eval = {
             let _eval_span =
                 deta_telemetry::span("eval").with_field("round", TelemetryValue::from(round));
             self.eval_model.set_flat_params(&params);
             deta_nn::train::evaluate(&mut self.eval_model, test, 128)
         };
-        // Loss averages over the participants that actually trained: a
-        // party dropped mid-round contributed no loss, so it must not
-        // inflate the denominator. Without drops this is exactly
-        // `participants.len()`, preserving bit-parity with the
-        // sequential session.
-        let trained = participants
+        // Aggregators retired by a failover are not billed; losses are
+        // the trainers' in party-index order (a party dropped mid-round
+        // reported none).
+        let mut timers = progress.timers;
+        timers.aggregators.retain(|a, _| self.agg_names.contains(a));
+        let losses: Vec<f32> = self
+            .party_names
             .iter()
-            .filter(|i| !self.dropped_parties.contains(&self.party_names[**i]))
-            .count()
-            .max(1);
-        Ok(RoundMetrics {
-            round,
-            train_loss: train_loss_sum / trained as f32,
-            test_loss,
-            test_accuracy,
-            latency,
-            round_latency_s,
-            cumulative_latency_s: self.cumulative_latency_s,
-            upload_bytes: upload_total,
-            download_bytes: download_total,
-        })
+            .filter_map(|p| progress.losses.get(p).copied())
+            .collect();
+        let active = n - self.dropped_parties.len();
+        Ok(self
+            .ledger
+            .close(&self.network, &timers, &losses, active, eval))
     }
 
     /// Attempts to heal a failed round attempt. On success the caller
@@ -982,7 +909,6 @@ struct PendingSession {
     config: DetaConfig,
     network: Network,
     broker: KeyBroker,
-    latency_model: LatencyModel,
     eval_model: Sequential,
     transformer: Transformer,
     recovery: RecoveryKit,
@@ -1001,7 +927,6 @@ impl PendingSession {
             parties,
             aggregators,
             broker,
-            latency_model,
             tokens,
             eval_model,
             transformer,
@@ -1014,7 +939,6 @@ impl PendingSession {
                 config,
                 network,
                 broker,
-                latency_model,
                 eval_model,
                 transformer,
                 recovery,
@@ -1037,7 +961,6 @@ impl PendingSession {
             config,
             network,
             broker,
-            latency_model,
             eval_model,
             transformer,
             recovery,
@@ -1077,20 +1000,17 @@ impl PendingSession {
             agg_names: agg_names.clone(),
         }];
         Ok(ThreadedSession {
+            ledger: RoundLedger::new(&config),
             config,
             network,
             broker,
             transformer,
-            latency_model,
             eval_model,
             supervisor,
             party_names,
             agg_names,
             tokens,
             next_round: 1,
-            cumulative_latency_s: 0.0,
-            prev_party_timers: HashMap::new(),
-            prev_agg_times: HashMap::new(),
             recovery,
             checkpoint,
             epochs,
@@ -1112,8 +1032,8 @@ struct RoundProgress {
     /// Nodes whose round obligation is fulfilled.
     done: HashSet<String>,
     losses: HashMap<String, f32>,
-    party_cum: HashMap<String, (f64, f64, f64)>,
-    agg_cum: HashMap<String, f64>,
+    /// Cumulative timers from each node's completion report.
+    timers: NodeTimers,
     params: Option<Vec<f32>>,
 }
 
@@ -1126,7 +1046,9 @@ impl RoundProgress {
                 round: r,
                 aggregate_s,
             } if r >= round => {
-                self.agg_cum.insert(from.to_string(), aggregate_s);
+                self.timers
+                    .aggregators
+                    .insert(from.to_string(), aggregate_s);
                 self.done.insert(from.to_string());
                 true
             }
@@ -1142,8 +1064,12 @@ impl RoundProgress {
                 if trained {
                     self.losses.insert(from.to_string(), train_loss);
                 }
-                self.party_cum
-                    .insert(from.to_string(), (train_s, transform_s, crypto_s));
+                let timers = PartyTimers {
+                    train_s,
+                    transform_s,
+                    crypto_s,
+                };
+                self.timers.parties.insert(from.to_string(), timers);
                 if let Some(p) = params {
                     self.params = Some(p);
                 }
@@ -1195,19 +1121,4 @@ fn participation_floor(algorithm: AggKind) -> usize {
 
 fn partition_commutative(algorithm: AggKind) -> bool {
     !matches!(algorithm, AggKind::Krum { .. } | AggKind::FlameLite)
-}
-
-/// Sums the delivered-byte delta between two [`Network::link_bytes`]
-/// snapshots over every `froms`→`tos` link.
-fn link_window(
-    before: &BTreeMap<(String, String), u64>,
-    after: &BTreeMap<(String, String), u64>,
-    froms: &[String],
-    tos: &[String],
-) -> u64 {
-    after
-        .iter()
-        .filter(|((from, to), _)| froms.contains(from) && tos.contains(to))
-        .map(|(link, bytes)| bytes - before.get(link).copied().unwrap_or(0))
-        .sum()
 }

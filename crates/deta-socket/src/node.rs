@@ -31,10 +31,7 @@
 //! mailbox, so the hosted actor exits instead of hanging.
 
 use crate::link::{LinkReceiver, LinkSender, SecureLink};
-use crate::wire::{
-    auth_transcript, retransmit_enabled, ReplayWindow, SeqTracker, SocketFrame,
-    RETRANSMIT_MAX_BYTES, RETRANSMIT_MAX_FRAMES,
-};
+use crate::wire::{auth_transcript, ReplayWindow, RetransmitBuffer, SeqTracker, SocketFrame};
 use crate::{hub_verifying_key, party_link_key, SocketError};
 use deta_core::aggregator::AggregatorNode;
 use deta_core::party::Party;
@@ -46,7 +43,7 @@ use deta_runtime::actor::{run_aggregator, run_party, ActorContext};
 use deta_runtime::SUPERVISOR;
 use deta_telemetry::FlightRecorder;
 use deta_transport::{FaultPolicy, NetTap, Network, SendVerdict};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -146,14 +143,8 @@ struct LinkState {
     /// Ingress window. Connection-independent, so a replay of an
     /// already-delivered frame still dies after any number of resumes.
     window: ReplayWindow,
-    /// Unacknowledged egress frames, oldest first, bounded by
-    /// [`RETRANSMIT_MAX_FRAMES`]/[`RETRANSMIT_MAX_BYTES`].
-    buffer: VecDeque<SocketFrame>,
-    /// Total buffered payload bytes.
-    buffer_bytes: usize,
-    /// Per-(src, dst) seq of the oldest retransmittable frame; entries
-    /// appear only once eviction has discarded something.
-    floor: BTreeMap<(String, String), u64>,
+    /// Unacknowledged egress frames.
+    buffer: RetransmitBuffer,
     /// Set once the link is gone for good (budget exhausted, fatal
     /// violation, or orderly shutdown).
     retired: bool,
@@ -173,81 +164,23 @@ impl LinkState {
             sender: None,
             seqs: SeqTracker::new(),
             window: ReplayWindow::new(),
-            buffer: VecDeque::new(),
-            buffer_bytes: 0,
-            floor: BTreeMap::new(),
+            buffer: RetransmitBuffer::new(),
             retired: false,
-        }
-    }
-
-    fn frame_bytes(frame: &SocketFrame) -> usize {
-        match frame {
-            SocketFrame::Data { payload, .. } => payload.len(),
-            _ => 0,
         }
     }
 
     /// Sends a stamped frame on the live link (a send failure parks the
     /// write half; the reader notices the same death and reconnects)
-    /// and retains it for retransmission, evicting past the caps.
+    /// and retains it for retransmission.
     fn push(&mut self, frame: SocketFrame) {
+        let mut sent = false;
         if let Some(sender) = self.sender.as_mut() {
-            if sender.send(&frame).is_err() {
+            sent = sender.send(&frame).is_ok();
+            if !sent {
                 self.sender = None;
-            } else if !retransmit_enabled() {
-                // Bench knob: a frame the live link took is not
-                // retained. Pre-connect frames still buffer — that is
-                // first-connect delivery, not crash recovery.
-                return;
             }
         }
-        self.buffer_bytes += Self::frame_bytes(&frame);
-        self.buffer.push_back(frame);
-        while self.buffer.len() > RETRANSMIT_MAX_FRAMES || self.buffer_bytes > RETRANSMIT_MAX_BYTES
-        {
-            let Some(old) = self.buffer.pop_front() else {
-                break;
-            };
-            self.buffer_bytes = self.buffer_bytes.saturating_sub(Self::frame_bytes(&old));
-            if let SocketFrame::Data { src, dst, seq, .. } = old {
-                self.floor.insert((src, dst), seq + 1);
-            }
-        }
-    }
-
-    /// Prunes the buffer to the frames the hub still needs, per its
-    /// `ResumeAck` claims (absent links claim 0).
-    ///
-    /// # Errors
-    ///
-    /// [`SocketError::Resync`] when a needed frame was already evicted;
-    /// the link cannot be resumed without a silent gap.
-    fn prune(&mut self, claims: &BTreeMap<(String, String), u64>) -> Result<(), SocketError> {
-        for ((src, dst), floor) in &self.floor {
-            let claimed = claims
-                .get(&(src.clone(), dst.clone()))
-                .copied()
-                .unwrap_or(0);
-            if claimed < *floor {
-                return Err(SocketError::Resync {
-                    link: format!("{src}->{dst}"),
-                    wanted: claimed,
-                    oldest: *floor,
-                });
-            }
-        }
-        self.buffer.retain(|f| match f {
-            SocketFrame::Data { src, dst, seq, .. } => {
-                let claimed = claims
-                    .get(&(src.clone(), dst.clone()))
-                    .copied()
-                    .unwrap_or(0);
-                *seq >= claimed
-            }
-            _ => true,
-        });
-        self.buffer_bytes = self.buffer.iter().map(Self::frame_bytes).sum();
-        Ok(())
+        self.buffer.push(frame, sent);
     }
 }
 
@@ -329,14 +262,10 @@ impl Reconnector {
                 })
             }
         };
-        st.prune(&claims)?;
+        let backlog = st.buffer.resume(&claims)?;
         let (mut sender, receiver) = link.split()?;
-        for frame in &st.buffer {
+        for frame in &backlog {
             sender.send(frame)?;
-        }
-        if !retransmit_enabled() {
-            st.buffer.clear();
-            st.buffer_bytes = 0;
         }
         st.sender = Some(sender);
         shared.live.notify_all();

@@ -13,7 +13,7 @@
 //! [`deta_transport::wire`]; endpoint names carry a `u16` length prefix.
 
 use deta_transport::wire::{DecodeError, EncodeError, Reader, Writer};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// One logical message between bridge endpoints. `Data` carries
@@ -109,18 +109,6 @@ pub enum SocketFrame {
 /// here can never be confused with a protocol-layer signature.
 pub const AUTH_DOMAIN: &[u8] = b"deta-socket-auth-v1";
 
-/// Retransmit-buffer cap, in frames, per endpoint. Both bridge sides
-/// bound their unacknowledged-frame buffers identically; past either
-/// cap the oldest frames are evicted and the per-link floor advances,
-/// so a later resume needing them fails with a structured `Resync`
-/// error instead of a silent gap.
-pub(crate) const RETRANSMIT_MAX_FRAMES: usize = 1024;
-
-/// Retransmit-buffer cap, in buffered payload bytes, per endpoint. The
-/// byte cap is the one that matters for model uploads: a count-only
-/// bound would happily pin hundreds of megabytes per seat.
-pub(crate) const RETRANSMIT_MAX_BYTES: usize = 8 * 1024 * 1024;
-
 static RETRANSMIT_ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
 
 /// Bench-only toggle: with buffering off, frames are forwarded but not
@@ -131,7 +119,7 @@ pub fn set_retransmit_buffering(on: bool) {
     RETRANSMIT_ENABLED.store(on, std::sync::atomic::Ordering::Relaxed);
 }
 
-pub(crate) fn retransmit_enabled() -> bool {
+fn retransmit_enabled() -> bool {
     RETRANSMIT_ENABLED.load(std::sync::atomic::Ordering::Relaxed)
 }
 
@@ -424,5 +412,127 @@ impl ReplayWindow {
             .filter(|((s, _), _)| s == src)
             .map(|((s, d), n)| (s.clone(), d.clone(), *n))
             .collect()
+    }
+}
+
+/// The bounded retransmit buffer each bridge end keeps per link: every
+/// stamped frame not yet known to be delivered, oldest first. Both ends
+/// (the hub per seat, the node for its one link) use it unchanged, so
+/// their eviction and resume rules cannot drift apart.
+///
+/// Past either cap ([`RetransmitBuffer::MAX_FRAMES`],
+/// [`RetransmitBuffer::MAX_BYTES`]) the oldest frames are evicted and
+/// that link's *floor* — the oldest seq still retransmittable —
+/// advances, so a later resume needing an evicted frame fails with a
+/// structured [`SocketError::Resync`] instead of a silent gap.
+///
+/// [`SocketError::Resync`]: crate::SocketError::Resync
+#[derive(Debug, Default)]
+pub struct RetransmitBuffer {
+    frames: VecDeque<SocketFrame>,
+    /// Total buffered payload bytes (the byte-cap accounting).
+    bytes: usize,
+    /// Per-(src, dst) seq of the oldest retransmittable frame; an entry
+    /// appears only once eviction has discarded something on the link.
+    floor: BTreeMap<(String, String), u64>,
+}
+
+impl RetransmitBuffer {
+    /// Cap in frames.
+    pub const MAX_FRAMES: usize = 1024;
+
+    /// Cap in buffered payload bytes. The byte cap is the one that
+    /// matters for model uploads: a count-only bound would happily pin
+    /// hundreds of megabytes per seat.
+    pub const MAX_BYTES: usize = 8 * 1024 * 1024;
+
+    /// An empty buffer.
+    pub fn new() -> RetransmitBuffer {
+        RetransmitBuffer::default()
+    }
+
+    /// Retains a stamped frame, evicting from the front past either
+    /// cap. `sent_live` says whether a live link took the frame: with
+    /// buffering switched off ([`set_retransmit_buffering`]) such a
+    /// frame is not retained, while frames sent before a link exists
+    /// still are — that is first-connect delivery, not crash recovery.
+    pub fn push(&mut self, frame: SocketFrame, sent_live: bool) {
+        if sent_live && !retransmit_enabled() {
+            return;
+        }
+        self.bytes += frame_bytes(&frame);
+        self.frames.push_back(frame);
+        while self.frames.len() > Self::MAX_FRAMES || self.bytes > Self::MAX_BYTES {
+            let Some(old) = self.frames.pop_front() else {
+                break;
+            };
+            self.bytes = self.bytes.saturating_sub(frame_bytes(&old));
+            if let SocketFrame::Data { src, dst, seq, .. } = old {
+                self.floor.insert((src, dst), seq + 1);
+            }
+        }
+    }
+
+    /// Resumes against the peer's claimed delivered state (the next seq
+    /// it expects per link; absent links claim 0): drops every frame
+    /// the peer already has and returns the rest, oldest first, for
+    /// retransmission. With buffering switched off the returned frames
+    /// are no longer retained.
+    ///
+    /// # Errors
+    ///
+    /// [`SocketError::Resync`] when the peer needs a frame that was
+    /// already evicted; the buffer is left unchanged and the link must
+    /// be retired, not resumed.
+    ///
+    /// [`SocketError::Resync`]: crate::SocketError::Resync
+    pub fn resume(
+        &mut self,
+        claims: &BTreeMap<(String, String), u64>,
+    ) -> Result<Vec<SocketFrame>, crate::SocketError> {
+        let claimed = |src: &String, dst: &String| {
+            claims
+                .get(&(src.clone(), dst.clone()))
+                .copied()
+                .unwrap_or(0)
+        };
+        for ((src, dst), &oldest) in &self.floor {
+            let wanted = claimed(src, dst);
+            if wanted < oldest {
+                return Err(crate::SocketError::Resync {
+                    link: format!("{src}->{dst}"),
+                    wanted,
+                    oldest,
+                });
+            }
+        }
+        self.frames.retain(|f| match f {
+            SocketFrame::Data { src, dst, seq, .. } => *seq >= claimed(src, dst),
+            _ => true,
+        });
+        if retransmit_enabled() {
+            self.bytes = self.frames.iter().map(frame_bytes).sum();
+            Ok(self.frames.iter().cloned().collect())
+        } else {
+            self.bytes = 0;
+            Ok(self.frames.drain(..).collect())
+        }
+    }
+
+    /// Frames currently retained.
+    pub fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Whether no frame is retained.
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+}
+
+fn frame_bytes(frame: &SocketFrame) -> usize {
+    match frame {
+        SocketFrame::Data { payload, .. } => payload.len(),
+        _ => 0,
     }
 }

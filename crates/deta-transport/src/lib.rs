@@ -5,8 +5,9 @@
 //! TLS; this crate reproduces those message flows in-process:
 //!
 //! * [`Network`] / [`Endpoint`] — named endpoints exchanging byte messages
-//!   through FIFO queues, with every transfer logged for the latency model
-//!   (see [`NetStats`] and [`LinkModel`]).
+//!   through FIFO queues, with every delivered byte counted per directed
+//!   link ([`Network::link_bytes`]) for the latency model's
+//!   [`LinkModel`].
 //! * [`secure`] — an authenticated-encryption channel bootstrapped by a
 //!   signed Diffie-Hellman handshake, standing in for TLS. The responder
 //!   authenticates with its provisioned token key, which is exactly how
@@ -42,7 +43,7 @@
 //! ```
 //! use deta_transport::{LinkModel, Network};
 //!
-//! let net = Network::new(LinkModel::lan());
+//! let net = Network::new();
 //! let alice = net.register("alice");
 //! let bob = net.register("bob");
 //! alice.send("bob", &b"hello"[..]).unwrap();
@@ -123,21 +124,9 @@ impl LinkModel {
     }
 
     /// Simulated transfer time for a message of `bytes` bytes.
-    pub fn transfer_time(&self, bytes: usize) -> f64 {
+    pub fn transfer_time(&self, bytes: u64) -> f64 {
         self.base_s + bytes as f64 / self.bytes_per_s
     }
-}
-
-/// Aggregate traffic statistics.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct NetStats {
-    /// Total messages sent.
-    pub messages: u64,
-    /// Total payload bytes sent.
-    pub bytes: u64,
-    /// Accumulated simulated transfer time (sum over messages; the
-    /// latency model decides how much of this overlaps).
-    pub transfer_time_s: f64,
 }
 
 /// Errors from network operations.
@@ -273,14 +262,12 @@ struct Held {
     any: bool,
 }
 
+#[derive(Default)]
 struct NetState {
     queues: HashMap<Arc<str>, Mailbox>,
-    stats: NetStats,
     /// Delivered payload bytes per directed (from, to) link. Always on
-    /// (it is what `ThreadedSession` bills round upload/download bytes
-    /// from) and monotonic — unlike [`NetStats`] it is *not* cleared by
-    /// [`Network::reset_stats`], so concurrent windows can be computed
-    /// as deltas without racing a reset.
+    /// (every session driver bills round upload/download bytes from it)
+    /// and monotonic, so concurrent windows are computed as deltas.
     link_bytes: BTreeMap<(Arc<str>, Arc<str>), u64>,
     policy: Option<Arc<dyn FaultPolicy>>,
     tap: Option<Arc<dyn NetTap>>,
@@ -288,29 +275,16 @@ struct NetState {
 }
 
 /// The shared simulated network.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Network {
     state: Arc<Mutex<NetState>>,
     arrivals: Arc<Condvar>,
-    /// Link model applied to every transfer.
-    pub link: LinkModel,
 }
 
 impl Network {
-    /// Creates a network with the given link model.
-    pub fn new(link: LinkModel) -> Network {
-        Network {
-            state: Arc::new(Mutex::new(NetState {
-                queues: HashMap::new(),
-                stats: NetStats::default(),
-                link_bytes: BTreeMap::new(),
-                policy: None,
-                tap: None,
-                held: Vec::new(),
-            })),
-            arrivals: Arc::new(Condvar::new()),
-            link,
-        }
+    /// Creates an empty network.
+    pub fn new() -> Network {
+        Network::default()
     }
 
     /// Registers a named endpoint.
@@ -357,11 +331,6 @@ impl Network {
         lock(&self.state).queues.get(name).is_some_and(|m| m.closed)
     }
 
-    /// Returns a snapshot of the traffic statistics.
-    pub fn stats(&self) -> NetStats {
-        lock(&self.state).stats.clone()
-    }
-
     /// Snapshot of delivered payload bytes per directed link, keyed
     /// `(from, to)`. Monotonic since construction (never reset), so
     /// callers bill traffic windows as deltas between two snapshots —
@@ -373,11 +342,6 @@ impl Network {
             .iter()
             .map(|((f, t), &b)| ((f.to_string(), t.to_string()), b))
             .collect()
-    }
-
-    /// Resets the traffic statistics (e.g. between training rounds).
-    pub fn reset_stats(&self) {
-        lock(&self.state).stats = NetStats::default();
     }
 
     /// Installs a fault policy ruling on every subsequent send. Replaces
@@ -449,9 +413,6 @@ impl Network {
                 });
                 depth = mb.queue.len();
             }
-            st.stats.messages += 1;
-            st.stats.bytes += len as u64;
-            st.stats.transfer_time_s += self.link.transfer_time(len);
             // Per-link ground truth for byte accounting; keys reuse the
             // interned endpoint names, so steady state allocates nothing.
             if let Some((to_key, _)) = st.queues.get_key_value(to.as_str()) {
@@ -761,7 +722,7 @@ mod tests {
 
     #[test]
     fn send_and_receive() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let a = net.register("a");
         let b = net.register("b");
         a.send("b", &b"hello"[..]).unwrap();
@@ -773,7 +734,7 @@ mod tests {
 
     #[test]
     fn fifo_ordering() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let a = net.register("a");
         let b = net.register("b");
         for i in 0u8..5 {
@@ -786,7 +747,7 @@ mod tests {
 
     #[test]
     fn unknown_endpoint_errors() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let a = net.register("a");
         assert_eq!(
             a.send("ghost", &b"x"[..]),
@@ -797,32 +758,28 @@ mod tests {
     #[test]
     #[should_panic]
     fn duplicate_registration_panics() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let _a = net.register("a");
         let _a2 = net.register("a");
     }
 
     #[test]
-    fn stats_accumulate() {
-        let net = Network::new(LinkModel {
-            base_s: 1.0,
-            bytes_per_s: 10.0,
-        });
+    fn link_bytes_accumulate() {
+        let net = Network::new();
         let a = net.register("a");
         let _b = net.register("b");
         a.send("b", vec![0u8; 20]).unwrap();
+        let before = net.link_bytes();
         a.send("b", vec![0u8; 10]).unwrap();
-        let st = net.stats();
-        assert_eq!(st.messages, 2);
-        assert_eq!(st.bytes, 30);
-        assert!((st.transfer_time_s - (1.0 + 2.0 + 1.0 + 1.0)).abs() < 1e-9);
-        net.reset_stats();
-        assert_eq!(net.stats(), NetStats::default());
+        let link = ("a".to_string(), "b".to_string());
+        assert_eq!(before.get(&link), Some(&20));
+        // Monotonic: a later snapshot only grows, so windows are deltas.
+        assert_eq!(net.link_bytes().get(&link), Some(&30));
     }
 
     #[test]
     fn link_bytes_track_deliveries_per_directed_link() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let a = net.register("a");
         let b = net.register("b");
         a.send("b", vec![0u8; 7]).unwrap();
@@ -831,13 +788,6 @@ mod tests {
         let lb = net.link_bytes();
         assert_eq!(lb.get(&("a".to_string(), "b".to_string())), Some(&12));
         assert_eq!(lb.get(&("b".to_string(), "a".to_string())), Some(&3));
-        // Monotonic: reset_stats clears NetStats but not the link map,
-        // so in-flight accounting windows survive a reset.
-        net.reset_stats();
-        assert_eq!(
-            net.link_bytes().get(&("a".to_string(), "b".to_string())),
-            Some(&12)
-        );
     }
 
     #[test]
@@ -848,7 +798,7 @@ mod tests {
                 SendVerdict::Drop
             }
         }
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let a = net.register("a");
         let _b = net.register("b");
         net.set_fault_policy(Arc::new(DropAll));
@@ -867,7 +817,7 @@ mod tests {
 
     #[test]
     fn recv_from_filters_and_requeues() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let a = net.register("a");
         let b = net.register("b");
         let c = net.register("c");
@@ -883,7 +833,7 @@ mod tests {
 
     #[test]
     fn drain_empties_queue() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let a = net.register("a");
         let b = net.register("b");
         a.send("b", &b"1"[..]).unwrap();
@@ -894,7 +844,7 @@ mod tests {
 
     #[test]
     fn recv_timeout_times_out_when_quiet() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let a = net.register("a");
         let t0 = std::time::Instant::now();
         assert_eq!(
@@ -906,7 +856,7 @@ mod tests {
 
     #[test]
     fn recv_timeout_wakes_on_arrival() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let a = net.register("a");
         let b = net.register("b");
         let _ = b; // registered so sends resolve
@@ -925,7 +875,7 @@ mod tests {
 
     #[test]
     fn network_is_cloneable_and_shared() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let a = net.register("a");
         let net2 = net.clone();
         let b = net2.register("b");
@@ -935,7 +885,7 @@ mod tests {
 
     #[test]
     fn sender_name_is_shared_not_cloned() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let a = net.register("a");
         let b = net.register("b");
         let c = net.register("c");
@@ -949,7 +899,7 @@ mod tests {
 
     #[test]
     fn close_rejects_new_sends_but_delivers_queued() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let a = net.register("a");
         let b = net.register("b");
         a.send("b", &b"before"[..]).unwrap();
@@ -975,7 +925,7 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_receiver() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let a = net.register("a");
         let net2 = net.clone();
         let handle = std::thread::spawn(move || {
@@ -996,7 +946,7 @@ mod tests {
 
     #[test]
     fn close_is_idempotent_and_unknown_close_is_noop() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let _a = net.register("a");
         net.close("a");
         net.close("a");
@@ -1036,7 +986,7 @@ mod tests {
     }
 
     fn fault_net(script: Vec<SendVerdict>) -> (Network, Arc<Counter>) {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let tap = Arc::new(Counter::default());
         net.set_fault_policy(Arc::new(Script(Mutex::new(script))));
         net.set_tap(Arc::clone(&tap) as Arc<dyn NetTap>);
@@ -1055,7 +1005,8 @@ mod tests {
         assert_eq!(lock(&tap.dropped).len(), 1);
         assert_eq!(lock(&tap.delivered).len(), 1);
         // Dropped messages do not count as traffic.
-        assert_eq!(net.stats().messages, 1);
+        let link = ("a".to_string(), "b".to_string());
+        assert_eq!(net.link_bytes().get(&link), Some(&4));
     }
 
     #[test]
@@ -1068,7 +1019,9 @@ mod tests {
         assert_eq!(&b.recv().unwrap().payload[..], b"x");
         assert!(b.recv().is_none());
         assert_eq!(lock(&tap.delivered).len(), 2);
-        assert_eq!(net.stats().messages, 2);
+        // Both copies count as traffic.
+        let link = ("a".to_string(), "b".to_string());
+        assert_eq!(net.link_bytes().get(&link), Some(&2));
     }
 
     #[test]
@@ -1198,7 +1151,7 @@ mod tests {
 
     #[test]
     fn send_as_attributes_sender_and_bills_link() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let b = net.register("b");
         // "remote" is not a registered endpoint — a bridged sender.
         net.send_as("remote", "b", b"x".to_vec()).unwrap();
@@ -1232,7 +1185,7 @@ mod tests {
 
     #[test]
     fn send_as_honors_close_and_unknown() {
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let _b = net.register("b");
         net.close("b");
         assert_eq!(

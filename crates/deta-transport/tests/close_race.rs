@@ -10,7 +10,7 @@
 //!   log and receivable until the queue drains), or it returns
 //!   `Err(Closed)` and nothing was enqueued. There is no third outcome.
 
-use deta_transport::{LinkModel, Message, NetError, NetTap, Network, RecvError};
+use deta_transport::{Message, NetError, NetTap, Network, RecvError};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -48,7 +48,7 @@ fn multiset(payloads: impl IntoIterator<Item = Vec<u8>>) -> BTreeMap<Vec<u8>, us
 
 #[test]
 fn close_wakes_every_blocked_receiver() {
-    let net = Network::new(LinkModel::lan());
+    let net = Network::new();
     let receivers: Vec<_> = (0..8).map(|i| net.register(&format!("r{i}"))).collect();
     let handles: Vec<_> = receivers
         .into_iter()
@@ -76,7 +76,7 @@ fn close_wakes_every_blocked_receiver() {
 
 #[test]
 fn no_accepted_message_is_lost_at_close() {
-    let net = Network::new(LinkModel::lan());
+    let net = Network::new();
     let tap = Arc::new(TapLog::default());
     net.set_tap(Arc::clone(&tap) as Arc<dyn NetTap>);
 

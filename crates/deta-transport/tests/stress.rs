@@ -3,7 +3,7 @@
 //! layer must preserve per-pair FIFO ordering and lose nothing under
 //! contention.
 
-use deta_transport::{LinkModel, Network, RecvError};
+use deta_transport::{Network, RecvError};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -26,7 +26,7 @@ fn decode(p: &[u8]) -> (usize, usize, u32) {
 
 #[test]
 fn concurrent_fanout_is_fifo_per_pair_with_no_loss_or_duplication() {
-    let net = Network::new(LinkModel::lan());
+    let net = Network::new();
     let receivers: Vec<_> = (0..RECEIVERS)
         .map(|r| net.register(&format!("rx-{r}")))
         .collect();
@@ -85,14 +85,22 @@ fn concurrent_fanout_is_fifo_per_pair_with_no_loss_or_duplication() {
         h.join().unwrap();
     }
 
-    let stats = net.stats();
-    let total = (SENDERS * RECEIVERS) as u64 * MSGS_PER_PAIR as u64;
-    assert_eq!(stats.messages, total, "stats lost track of sends");
+    // Every directed link carried exactly its pair's messages.
+    let links = net.link_bytes();
+    let per_link = MSGS_PER_PAIR as u64 * encode(0, 0, 0).len() as u64;
+    assert_eq!(
+        links.len(),
+        SENDERS * RECEIVERS,
+        "link counters lost a link"
+    );
+    for (link, bytes) in links {
+        assert_eq!(bytes, per_link, "link counter {link:?} lost track of sends");
+    }
 }
 
 #[test]
 fn close_unblocks_a_contended_receiver_exactly_once_drained() {
-    let net = Network::new(LinkModel::lan());
+    let net = Network::new();
     let rx = net.register("rx");
     // Several writers race a closer.
     let writers: Vec<_> = (0..4)

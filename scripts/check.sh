@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: build, the tests of every workspace crate (including
-# the deta-lint clean check in tests/lint_clean.rs), formatting, and
-# clippy over every workspace target with warnings as errors.
+# the deta-lint clean check in tests/lint_clean.rs) and of the perfbench
+# benchmark, formatting, and clippy over every workspace target with
+# warnings as errors.
 # Run from anywhere inside the workspace; requires no network.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -11,6 +12,14 @@ cargo build --release
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "==> benchmark tests (perfbench, release, locked lockfile, offline)"
+# perfbench is a workspace of its own that drives the crates through
+# their public APIs, so `--workspace` above does not reach it. The
+# target dir sits under the root target/ so nothing is written under
+# perfbench/, and --locked keeps its committed lockfile unchanged.
+CARGO_TARGET_DIR=target/perfbench \
+  cargo test --release --locked --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> sim sweep (200 seeds x2, verdict determinism + corpus verify)"
 # Wall-clock is bounded by the fleet's supervisor deadlines (SimSpec);

@@ -7,7 +7,7 @@ use deta::core::proxy::AttestationProxy;
 use deta::core::wire::Msg;
 use deta::crypto::DetRng;
 use deta::sev_sim::{AmdRas, GuestImage, Platform};
-use deta::transport::{LinkModel, Network};
+use deta::transport::Network;
 use deta_proptest::cases;
 
 fn aggregator(net: &Network, rng: &mut DetRng) -> AggregatorNode {
@@ -31,7 +31,7 @@ fn aggregator(net: &Network, rng: &mut DetRng) -> AggregatorNode {
 fn aggregator_survives_garbage_frames() {
     cases("aggregator_survives_garbage_frames", 32, |g| {
         let frames = g.vec_of(1, 20, |g| g.bytes(0, 200));
-        let net = Network::new(LinkModel::lan());
+        let net = Network::new();
         let mut rng = DetRng::from_u64(91);
         let mut agg = aggregator(&net, &mut rng);
         let attacker = net.register("attacker");
@@ -58,7 +58,7 @@ fn aggregator_survives_wellformed_but_unauthenticated_messages() {
             // Wire-valid messages that skip the handshake: sealed records
             // cannot decrypt (no channel), registrations arrive outside a
             // channel, uploads reference no session. All must be ignored.
-            let net = Network::new(LinkModel::lan());
+            let net = Network::new();
             let mut rng = DetRng::from_u64(92);
             let mut agg = aggregator(&net, &mut rng);
             let attacker = net.register("attacker");
@@ -92,7 +92,7 @@ fn replayed_hello_does_not_hijack_an_existing_channel() {
     // state on the aggregator is replaced — a denial-of-service at worst,
     // never an authentication bypass. Verify the attacker cannot decrypt.
     use deta::transport::HandshakeInitiator;
-    let net = Network::new(LinkModel::lan());
+    let net = Network::new();
     let mut rng = DetRng::from_u64(93);
     let mut agg = aggregator(&net, &mut rng);
     let party = net.register("party-0");

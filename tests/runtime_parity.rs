@@ -1,6 +1,6 @@
 //! Determinism parity: for a fixed seed, the threaded actor deployment
-//! must produce *bit-identical* model parameters to the sequential
-//! `DetaSession`.
+//! must produce *bit-identical* model parameters and round metrics to
+//! the sequential `DetaSession`.
 //!
 //! Why this should hold despite arbitrary thread scheduling: both
 //! deployments build their nodes with `SessionParts::build` (identical
@@ -9,7 +9,7 @@
 //! to another; and aggregators order uploads by party name before
 //! aggregating, so arrival order never reaches the arithmetic.
 
-use deta::core::{DetaConfig, DetaSession, SyncMode};
+use deta::core::{fingerprint, DetaConfig, DetaSession, RoundMetrics, SyncMode};
 use deta::datasets::{iid_partition, DatasetSpec};
 use deta::nn::models::mlp;
 use deta::nn::train::LabeledData;
@@ -33,9 +33,16 @@ fn data(n: usize, parties: usize) -> (Vec<LabeledData>, LabeledData, usize, usiz
 type PartyParams = Vec<Vec<f32>>;
 
 /// Runs the same config through both deployments and returns
-/// (sequential params, threaded params, sequential accs, threaded accs)
-/// for every party.
-fn both(config: DetaConfig) -> (PartyParams, PartyParams, Vec<f32>, Vec<f32>) {
+/// (sequential params, threaded params) for every party, then
+/// (sequential metrics, threaded metrics) for every round.
+fn both(
+    config: DetaConfig,
+) -> (
+    PartyParams,
+    PartyParams,
+    Vec<RoundMetrics>,
+    Vec<RoundMetrics>,
+) {
     let n = config.n_parties;
     let (shards, test, dim, classes) = data(160, n);
 
@@ -61,12 +68,17 @@ fn both(config: DetaConfig) -> (PartyParams, PartyParams, Vec<f32>, Vec<f32>) {
         .map(|i| thr.party_params(i).expect("recovered party"))
         .collect();
 
-    (
-        seq_params,
-        thr_params,
-        seq_metrics.iter().map(|m| m.test_accuracy).collect(),
-        thr_metrics.iter().map(|m| m.test_accuracy).collect(),
-    )
+    (seq_params, thr_params, seq_metrics, thr_metrics)
+}
+
+/// Asserts the two deployments' round metrics are bit-identical: train
+/// loss, test loss, accuracy, upload and download bytes.
+fn assert_same_fingerprint(seq: &[RoundMetrics], thr: &[RoundMetrics]) {
+    assert_eq!(
+        fingerprint(seq),
+        fingerprint(thr),
+        "round metrics must be bit-identical (sequential left, threaded right)"
+    );
 }
 
 #[test]
@@ -74,12 +86,9 @@ fn threaded_equals_sequential_fedavg_k2() {
     let mut cfg = DetaConfig::deta(4, 3);
     cfg.n_aggregators = 2;
     cfg.seed = 42;
-    let (seq, thr, seq_acc, thr_acc) = both(cfg);
+    let (seq, thr, seq_m, thr_m) = both(cfg);
     assert_eq!(seq, thr, "FedAvg params must be bit-identical");
-    assert_eq!(
-        seq_acc, thr_acc,
-        "evaluation on identical params must agree"
-    );
+    assert_same_fingerprint(&seq_m, &thr_m);
 }
 
 #[test]
@@ -88,8 +97,9 @@ fn threaded_equals_sequential_fedsgd_k2() {
     cfg.n_aggregators = 2;
     cfg.mode = SyncMode::FedSgd;
     cfg.seed = 9;
-    let (seq, thr, _, _) = both(cfg);
+    let (seq, thr, seq_m, thr_m) = both(cfg);
     assert_eq!(seq, thr, "FedSgd params must be bit-identical");
+    assert_same_fingerprint(&seq_m, &thr_m);
 }
 
 #[test]
@@ -97,11 +107,12 @@ fn threaded_equals_sequential_k3_with_partial_participation() {
     let mut cfg = DetaConfig::deta(5, 3);
     cfg.seed = 1234;
     cfg.participation = Some(3);
-    let (seq, thr, _, _) = both(cfg);
+    let (seq, thr, seq_m, thr_m) = both(cfg);
     assert_eq!(
         seq, thr,
         "partial participation must select identical cohorts"
     );
+    assert_same_fingerprint(&seq_m, &thr_m);
 }
 
 /// Byte-accounting ground truth: the per-round `upload_bytes` /

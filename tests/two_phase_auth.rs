@@ -12,7 +12,7 @@ use deta::crypto::{DetRng, SigningKey};
 use deta::datasets::DatasetSpec;
 use deta::nn::models::mlp;
 use deta::sev_sim::{AmdRas, GuestImage, Platform, SealedSecret, SevError};
-use deta::transport::{LinkModel, Network};
+use deta::transport::Network;
 use std::collections::HashMap;
 
 fn image() -> GuestImage {
@@ -54,7 +54,7 @@ fn phase2_party_rejects_unattested_aggregator() {
     ctx.inject_secret(&blob, &report.nonce).unwrap();
     let impostor_cvm = ctx.finish();
 
-    let net = Network::new(LinkModel::lan());
+    let net = Network::new();
     let mut impostor = AggregatorNode::new(
         "agg-0",
         impostor_cvm,
@@ -109,7 +109,7 @@ fn phase2_party_accepts_attested_aggregator() {
     let mut platform = Platform::genuine(&ras, "chip", &mut rng.fork(b"p"));
     let prov = proxy.verify_and_provision(&mut platform, &image()).unwrap();
 
-    let net = Network::new(LinkModel::lan());
+    let net = Network::new();
     let mut agg = AggregatorNode::new(
         "agg-0",
         prov.cvm,
